@@ -176,7 +176,15 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     analysis::ProbabilityOptions options;
     options.approximate = args.has("approximate");
     if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
-    const analysis::ProbabilityResult result = analysis::analyze_failure_probability(m, options);
+    // The engine path, as every other scoring command takes it, so the
+    // engine.* metrics (and watch rules on them) see this analysis.  One
+    // model on the calling thread: no worker lanes, and the full-rebuild
+    // tree path — there are no earlier fragments to reuse.
+    engine::EngineOptions engine_options;
+    engine_options.threads = 1;
+    engine_options.incremental_ftree = false;
+    engine::EvalEngine engine(engine_options);
+    const analysis::ProbabilityResult result = engine.analyze(m, options);
     const cost::CostMetric metric = parse_metric(args.get("metric", "1"));
     out << "model              : " << m.name() << "\n"
         << "application nodes  : " << m.app().node_count() << "\n"
@@ -628,7 +636,7 @@ public:
         if (args.has("watch-rules")) {
             watchdog_.emplace(io::load_watch_rules(args.get("watch-rules")));
             if (args.has("watch-out")) {
-                watch_file_.open(args.get("watch-out"), std::ios::app);
+                watch_file_.open(args.get("watch-out"), std::ios::trunc);
                 if (!watch_file_) {
                     throw IoError("cannot open '" + args.get("watch-out") +
                                   "' for watchdog events");
@@ -740,7 +748,7 @@ std::string usage() {
            "  --metrics out.json       write a metrics-registry snapshot\n"
            "  --sample-out ts.json     sample the registry periodically; write the\n"
            "                           ring-buffered time series on exit\n"
-           "  --sample-ndjson ts.ndjson  append one metrics line per sampler tick\n"
+           "  --sample-ndjson ts.ndjson  write one metrics line per sampler tick\n"
            "  --sample-period MS       sampler period (default 1000)\n"
            "  --sample-capacity N      points retained per series (default 600)\n"
            "  --openmetrics-out om.txt rewrite an OpenMetrics exposition per tick\n"

@@ -178,9 +178,11 @@ EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
     p.result.approximated_blocks = built.approximated_blocks;
     p.result.cycles_cut = built.cycles_cut;
     p.result.warnings = std::move(built.warnings);
-    p.canonical = std::make_shared<const ftree::FaultTree>(ftree::canonical_form(built.tree));
-    p.tree_key = hash::combine(p.canonical->structural_hash(), double_bits(options.mission_hours));
-    if (want_shape) p.shape_hash = p.canonical->shape_hash();
+    const obs::ObsSpan canon_span("canonicalize", "ftree");
+    ftree::CanonicalTree canon = ftree::canonicalize(built.tree);
+    p.canonical = std::make_shared<const ftree::FaultTree>(std::move(canon.tree));
+    p.tree_key = hash::combine(canon.structural_hash, double_bits(options.mission_hours));
+    if (want_shape) p.shape_hash = canon.shape_hash;
     return p;
 }
 

@@ -166,9 +166,13 @@ IncrementalTreeBuilder::Prepared IncrementalTreeBuilder::prepare(const Architect
     p.warnings = std::move(built.warnings);
     p.approximated_blocks = built.approximated_blocks;
     p.cycles_cut = built.cycles_cut;
-    p.canonical = std::make_shared<const FaultTree>(canonical_form(built.tree));
-    p.structural_hash = p.canonical->structural_hash();
-    p.shape_hash = p.canonical->shape_hash();
+    {
+        const obs::ObsSpan canon_span("canonicalize", "ftree");
+        CanonicalTree canon = canonicalize(built.tree);
+        p.canonical = std::make_shared<const FaultTree>(std::move(canon.tree));
+        p.structural_hash = canon.structural_hash;
+        p.shape_hash = canon.shape_hash;
+    }
     p.modules = std::make_shared<const ModuleDecomposition>(find_modules(*p.canonical));
 
     if (options_.memo_capacity > 0) {

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <ostream>
-#include <tuple>
 #include <unordered_set>
 
 #include "core/hash.h"
+#include "ftree/dag_walk.h"
 
 namespace asilkit::ftree {
 
@@ -22,18 +21,38 @@ std::ostream& operator<<(std::ostream& os, const FaultTreeStats& s) {
               << ", paths=" << s.paths << ", depth=" << s.depth << "}";
 }
 
+std::size_t FaultTree::name_slot(std::string_view name) const noexcept {
+    const std::size_t mask = name_slots_.size() - 1;
+    std::size_t slot = std::hash<std::string_view>{}(name) & mask;
+    while (name_slots_[slot] != 0 && basics_[name_slots_[slot] - 1].name != name) {
+        slot = (slot + 1) & mask;
+    }
+    return slot;
+}
+
+std::uint32_t FaultTree::name_entry(std::string_view name) const noexcept {
+    return name_slots_.empty() ? 0 : name_slots_[name_slot(name)];
+}
+
 FtRef FaultTree::add_basic_event(std::string name, double lambda) {
-    if (auto it = basic_by_name_.find(name); it != basic_by_name_.end()) {
-        const BasicEvent& existing = basics_[it->second];
+    if (const std::uint32_t found = name_entry(name); found != 0) {
+        const BasicEvent& existing = basics_[found - 1];
         if (existing.lambda != lambda) {
             throw AnalysisError("basic event '" + name + "' re-added with lambda " +
                                 std::to_string(lambda) + " != " + std::to_string(existing.lambda));
         }
-        return FtRef{FtRef::Kind::Basic, it->second};
+        return FtRef{FtRef::Kind::Basic, found - 1};
     }
     const auto index = static_cast<std::uint32_t>(basics_.size());
-    basic_by_name_.emplace(name, index);
     basics_.push_back(BasicEvent{std::move(name), lambda});
+    if (2 * basics_.size() <= name_slots_.size()) {
+        name_slots_[name_slot(basics_.back().name)] = index + 1;
+    } else {
+        name_slots_.assign(std::max<std::size_t>(16, 2 * name_slots_.size()), 0);
+        for (std::uint32_t i = 0; i < basics_.size(); ++i) {
+            name_slots_[name_slot(basics_[i].name)] = i + 1;
+        }
+    }
     return FtRef{FtRef::Kind::Basic, index};
 }
 
@@ -81,63 +100,55 @@ const Gate& FaultTree::gate(FtRef r) const {
 }
 
 FtRef FaultTree::find_basic_event(std::string_view name) const {
-    if (auto it = basic_by_name_.find(std::string(name)); it != basic_by_name_.end()) {
-        return FtRef{FtRef::Kind::Basic, it->second};
+    if (const std::uint32_t found = name_entry(name); found != 0) {
+        return FtRef{FtRef::Kind::Basic, found - 1};
     }
     throw AnalysisError("no basic event named '" + std::string(name) + "'");
 }
 
 bool FaultTree::has_basic_event(std::string_view name) const noexcept {
-    return basic_by_name_.contains(std::string(name));
+    return name_entry(name) != 0;
 }
 
 FaultTreeStats FaultTree::stats() const {
     FaultTreeStats s;
     if (!has_top_) return s;
+    if (top_.kind == FtRef::Kind::Basic) {
+        s.basic_events = s.dag_nodes = s.depth = 1;
+        s.expanded_nodes = s.paths = 1;
+        return s;
+    }
     constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
     auto sat_add = [kCap](std::uint64_t a, std::uint64_t b) {
         return a > kCap - std::min(b, kCap) ? kCap : a + b;
     };
 
     struct Memo {
-        std::uint64_t expanded = 0;
+        std::uint64_t expanded = 1;
         std::uint64_t paths = 0;
-        std::size_t depth = 0;
+        std::size_t depth = 1;
     };
-    std::unordered_map<std::uint64_t, Memo> memo;  // key: kind<<32|index
-    std::unordered_set<std::uint64_t> dag_seen;
-    auto key = [](FtRef r) {
-        return (static_cast<std::uint64_t>(r.kind) << 32) | r.index;
-    };
-
-    std::function<Memo(FtRef)> visit = [&](FtRef r) -> Memo {
-        if (auto it = memo.find(key(r)); it != memo.end()) return it->second;
-        dag_seen.insert(key(r));
-        Memo m;
-        if (r.kind == FtRef::Kind::Basic) {
-            m = Memo{1, 1, 1};
-        } else {
-            m.expanded = 1;
-            m.paths = 0;
-            m.depth = 1;
-            for (FtRef c : gates_[r.index].children) {
-                const Memo cm = visit(c);
+    std::vector<Memo> memo(gates_.size());
+    std::vector<std::uint8_t> basic_seen(basics_.size(), 0);
+    detail::walk_gates(
+        *this, top_.index,
+        [&](std::uint32_t, FtRef c) {
+            if (c.kind == FtRef::Kind::Basic && !basic_seen[c.index]) {
+                basic_seen[c.index] = 1;
+                ++s.basic_events;
+            }
+        },
+        [&](std::uint32_t g) {
+            ++s.gates;
+            Memo& m = memo[g];
+            for (const FtRef c : gates_[g].children) {
+                const Memo cm = c.kind == FtRef::Kind::Basic ? Memo{1, 1, 1} : memo[c.index];
                 m.expanded = sat_add(m.expanded, cm.expanded);
                 m.paths = sat_add(m.paths, cm.paths);
                 m.depth = std::max(m.depth, cm.depth + 1);
             }
-        }
-        memo[key(r)] = m;
-        return m;
-    };
-    const Memo top_memo = visit(top_);
-    for (std::uint64_t k : dag_seen) {
-        if ((k >> 32) == static_cast<std::uint64_t>(FtRef::Kind::Basic)) {
-            ++s.basic_events;
-        } else {
-            ++s.gates;
-        }
-    }
+        });
+    const Memo& top_memo = memo[top_.index];
     s.dag_nodes = s.basic_events + s.gates;
     s.expanded_nodes = top_memo.expanded;
     s.paths = top_memo.paths;
@@ -145,56 +156,86 @@ FaultTreeStats FaultTree::stats() const {
     return s;
 }
 
-std::uint64_t FaultTree::structural_hash() const {
-    const FtRef root = top();  // throws when the tree has no top event
-    // Basic events are numbered by first occurrence in this depth-first
-    // traversal, which abstracts names away while preserving the sharing
+namespace {
+
+constexpr std::uint64_t kGateSalt = 0x67617465ull;    // "gate"
+constexpr std::uint64_t kBasicSalt = 0x6261736963ull;  // "basic"
+constexpr std::uint64_t kShapeSalt = 0x7368617065ull;  // "shape"
+constexpr std::uint64_t kEventSalt = 0x6576656E74ull;  // "event"
+constexpr std::uint64_t kContextSalt = 0x637478ull;    // "ctx"
+constexpr std::uint32_t kUnset = ~std::uint32_t{0};
+
+[[nodiscard]] std::uint64_t double_bits(double d) noexcept {
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(d));
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+}
+
+[[nodiscard]] std::uint64_t gate_seed(GateKind kind) noexcept {
+    return hash::combine(kGateSalt, static_cast<std::uint64_t>(kind));
+}
+
+/// Leaf terms of structural_hash() / shape_hash() for the event numbered
+/// `id` by first occurrence.
+[[nodiscard]] std::uint64_t structural_leaf(std::uint64_t id, double lambda) noexcept {
+    return hash::combine(hash::combine(kBasicSalt, id), double_bits(lambda));
+}
+[[nodiscard]] std::uint64_t shape_leaf(std::uint64_t id) noexcept {
+    return hash::combine(kShapeSalt, id);
+}
+
+/// structural_hash() (with_rates) or shape_hash() of the DAG below `root`.
+[[nodiscard]] std::uint64_t dag_hash(const FaultTree& ft, FtRef root, bool with_rates) {
+    const std::span<const BasicEvent> basics = ft.basic_events();
+    if (root.kind == FtRef::Kind::Basic) {
+        const double lambda = ft.basic_event(root.index).lambda;  // range-checked
+        return with_rates ? structural_leaf(0, lambda) : shape_leaf(0);
+    }
+    // Basic events are numbered by first occurrence in the depth-first
+    // walk, which abstracts names away while preserving the sharing
     // pattern (one event referenced from two gates hashes differently
     // from two equal-rate events referenced once each).
-    std::unordered_map<std::uint32_t, std::uint64_t> basic_id;
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_memo;
-    std::function<std::uint64_t(FtRef)> visit = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            const auto [it, inserted] = basic_id.try_emplace(r.index, basic_id.size());
-            const double lambda = basics_[r.index].lambda;
-            std::uint64_t lambda_bits;
-            static_assert(sizeof(lambda_bits) == sizeof(lambda));
-            std::memcpy(&lambda_bits, &lambda, sizeof(lambda_bits));
-            return hash::combine(hash::combine(0x6261736963ull /* "basic" */, it->second),
-                                 lambda_bits);
-        }
-        if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const Gate& g = gates_[r.index];
-        std::uint64_t h = hash::combine(0x67617465ull /* "gate" */,
-                                        static_cast<std::uint64_t>(g.kind));
-        for (FtRef c : g.children) h = hash::combine(h, visit(c));
-        gate_memo.emplace(r.index, h);
-        return h;
-    };
-    return visit(root);
+    std::vector<std::uint32_t> basic_id(basics.size(), kUnset);
+    std::uint32_t next_id = 0;
+    std::vector<std::uint64_t> gate_hash(ft.gates().size());
+    detail::walk_gates(
+        ft, root.index,
+        [&](std::uint32_t, FtRef c) {
+            if (c.kind == FtRef::Kind::Basic && basic_id[c.index] == kUnset) {
+                basic_id[c.index] = next_id++;
+            }
+        },
+        [&](std::uint32_t g) {
+            const Gate& gate = ft.gates()[g];
+            std::uint64_t h = gate_seed(gate.kind);
+            for (const FtRef c : gate.children) {
+                std::uint64_t ch = 0;
+                if (c.kind == FtRef::Kind::Gate) {
+                    ch = gate_hash[c.index];
+                } else if (with_rates) {
+                    ch = structural_leaf(basic_id[c.index], basics[c.index].lambda);
+                } else {
+                    ch = shape_leaf(basic_id[c.index]);
+                }
+                h = hash::combine(h, ch);
+            }
+            gate_hash[g] = h;
+        });
+    return gate_hash[root.index];
+}
+
+}  // namespace
+
+std::uint64_t FaultTree::structural_hash() const {
+    return dag_hash(*this, top(), true);  // top() throws when the tree has no top event
 }
 
 std::uint64_t FaultTree::shape_hash() const {
-    const FtRef root = top();  // throws when the tree has no top event
     // Mirrors structural_hash() — first-occurrence event numbering keeps
     // the sharing pattern — with the lambda bits omitted, so rate-only
     // variants of one structure hash equal.
-    std::unordered_map<std::uint32_t, std::uint64_t> basic_id;
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_memo;
-    std::function<std::uint64_t(FtRef)> visit = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            const auto [it, inserted] = basic_id.try_emplace(r.index, basic_id.size());
-            return hash::combine(0x7368617065ull /* "shape" */, it->second);
-        }
-        if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const Gate& g = gates_[r.index];
-        std::uint64_t h = hash::combine(0x67617465ull /* "gate" */,
-                                        static_cast<std::uint64_t>(g.kind));
-        for (FtRef c : g.children) h = hash::combine(h, visit(c));
-        gate_memo.emplace(r.index, h);
-        return h;
-    };
-    return visit(root);
+    return dag_hash(*this, top(), false);
 }
 
 bool identical_shape(const FaultTree& a, const FaultTree& b) {
@@ -210,46 +251,61 @@ bool identical_shape(const FaultTree& a, const FaultTree& b) {
     return true;
 }
 
-FaultTree canonical_form(const FaultTree& ft) {
+CanonicalTree canonicalize(const FaultTree& ft) {
     const FtRef root = ft.top();
+    CanonicalTree out;
+    if (root.kind == FtRef::Kind::Basic) {
+        const BasicEvent& e = ft.basic_event(root.index);
+        out.tree.set_top(out.tree.add_basic_event(e.name, e.lambda));
+        out.structural_hash = structural_leaf(0, e.lambda);
+        out.shape_hash = shape_leaf(0);
+        return out;
+    }
+    const std::span<const BasicEvent> basics = ft.basic_events();
+    const std::span<const Gate> gates = ft.gates();
 
-    // Phase 0: reference counts (how many parent slots point at each
-    // node, duplicates included).  They feed the ordering hash so that a
-    // branch containing a *shared* event — e.g. the single resource
-    // event a candidate merge creates — orders differently from a
-    // pristine branch whose events carry the same rates.  Without this,
-    // mirror merges in redundant branches tie under a sharing-blind hash
-    // and stable sort keeps them apart.  The same walk records each
-    // event's parent gates for the phase-1.5 context refinement.
-    std::unordered_map<std::uint32_t, std::uint32_t> basic_refs;
-    std::unordered_map<std::uint32_t, std::uint32_t> gate_refs;
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> basic_parents;
-    {
-        std::vector<FtRef> stack{root};
-        std::unordered_set<std::uint32_t> visited;
-        ++gate_refs[root.index];  // root counts as referenced once
-        while (!stack.empty()) {
-            const FtRef r = stack.back();
-            stack.pop_back();
-            if (r.kind == FtRef::Kind::Basic) continue;
-            if (!visited.insert(r.index).second) continue;
-            for (FtRef c : ft.gate(r.index).children) {
-                if (c.kind == FtRef::Kind::Basic) {
-                    ++basic_refs[c.index];
-                    basic_parents[c.index].push_back(r.index);
-                } else {
-                    ++gate_refs[c.index];
-                    stack.push_back(c);
-                }
+    // Phase 0: one walk collects the reachable gates children-first and
+    // the reference counts (how many parent slots point at each node,
+    // duplicates included; the root counts once).  They feed the
+    // ordering hashes so that a branch containing a *shared* event —
+    // e.g. the single resource event a candidate merge creates — orders
+    // differently from a pristine branch whose events carry the same
+    // rates.  Without this, mirror merges in redundant branches tie
+    // under a sharing-blind hash and stable sort keeps them apart.  The
+    // (event, parent) slots become a CSR event -> parent-gates list for
+    // the phase-2 context refinement.
+    std::vector<std::uint32_t> gate_refs(gates.size(), 0);
+    std::vector<std::uint32_t> basic_refs(basics.size(), 0);
+    std::vector<std::uint32_t> postorder;
+    std::vector<std::uint32_t> reached_basics;  // first-reached order
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> event_slots;  // (event, parent gate)
+    gate_refs[root.index] = 1;
+    detail::walk_gates(
+        ft, root.index,
+        [&](std::uint32_t g, FtRef c) {
+            if (c.kind == FtRef::Kind::Gate) {
+                ++gate_refs[c.index];
+                return;
             }
-        }
+            if (basic_refs[c.index]++ == 0) reached_basics.push_back(c.index);
+            event_slots.emplace_back(c.index, g);
+        },
+        [&](std::uint32_t g) { postorder.push_back(g); });
+    std::vector<std::uint32_t> parent_begin(basics.size() + 1, 0);
+    for (const auto& [e, g] : event_slots) ++parent_begin[e + 1];
+    for (std::size_t e = 0; e < basics.size(); ++e) parent_begin[e + 1] += parent_begin[e];
+    std::vector<std::uint32_t> parents(event_slots.size());
+    {
+        std::vector<std::uint32_t> fill(parent_begin.begin(), parent_begin.end() - 1);
+        for (const auto& [e, g] : event_slots) parents[fill[e]++] = g;
     }
 
-    // Phase 1: bottom-up ordering hashes, one rate-blind and one
-    // rate-inclusive per node.  Child hashes are sorted before
-    // combining, so both are invariant under child permutation — they
-    // only *order* children; the final structural_hash() of the rebuilt
-    // tree is what captures sharing exactly.
+    // Every node carries a pair of ordering hashes: rate-blind (`shape`)
+    // and rate-inclusive (`full`).  A gate's pair folds its kind, its
+    // reference count and the *sorted* child hashes, so both are
+    // invariant under child permutation — they only *order* children;
+    // the final structural_hash() of the rebuilt tree is what captures
+    // sharing exactly.
     //
     // Children sort primarily by the rate-blind hash (shape + sharing),
     // with the rate-inclusive hash as tiebreaker.  Rates therefore only
@@ -262,52 +318,49 @@ FaultTree canonical_form(const FaultTree& ft) {
     // memo key on (see shape_hash()/identical_shape()).  Sorting by the
     // rate-inclusive hash alone would make every lambda nudge reshuffle
     // siblings into an unrelated order.
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_prelim;
-    std::function<std::uint64_t(FtRef)> prelim = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            const double lambda = ft.basic_event(r.index).lambda;
-            std::uint64_t lambda_bits;
-            std::memcpy(&lambda_bits, &lambda, sizeof(lambda_bits));
-            return hash::combine(hash::combine(0x6576656E74ull /* "event" */, lambda_bits),
-                                 basic_refs[r.index]);
-        }
-        if (auto it = gate_prelim.find(r.index); it != gate_prelim.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(prelim(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        gate_prelim.emplace(r.index, h);
-        return h;
+    struct HashPair {
+        std::uint64_t shape = 0;
+        std::uint64_t full = 0;
     };
-    std::unordered_map<std::uint32_t, std::uint64_t> gate_shape;
-    std::function<std::uint64_t(FtRef)> shape_prelim = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            // Reference counts, not rates: a branch containing a
-            // *shared* event (the single resource event a candidate
-            // merge creates) must still order apart from a pristine
-            // branch of the same shape.
-            return hash::combine(0x7368617065ull /* "shape" */, basic_refs[r.index]);
+    std::vector<HashPair> basic_hash(basics.size());
+    std::vector<HashPair> gate_hash(gates.size());
+    std::vector<std::uint64_t> scratch;  // sorted-hash buffer, shape half then full half
+    auto hash_gates = [&] {
+        for (const std::uint32_t g : postorder) {
+            const Gate& gate = gates[g];
+            const std::size_t n = gate.children.size();
+            scratch.resize(2 * n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const FtRef c = gate.children[i];
+                const HashPair& ch =
+                    c.kind == FtRef::Kind::Gate ? gate_hash[c.index] : basic_hash[c.index];
+                scratch[i] = ch.shape;
+                scratch[n + i] = ch.full;
+            }
+            std::sort(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n));
+            std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(n), scratch.end());
+            const std::uint64_t seed = hash::combine(gate_seed(gate.kind), gate_refs[g]);
+            HashPair h{seed, seed};
+            for (std::size_t i = 0; i < n; ++i) {
+                h.shape = hash::combine(h.shape, scratch[i]);
+                h.full = hash::combine(h.full, scratch[n + i]);
+            }
+            gate_hash[g] = h;
         }
-        if (auto it = gate_shape.find(r.index); it != gate_shape.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(shape_prelim(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        gate_shape.emplace(r.index, h);
-        return h;
     };
 
-    // Phase 1.5: context refinement.  The phase-1 hashes see an event as
+    // Phase 1: preliminary pairs.  An event is (reference count) when
+    // rate-blind — a branch containing a *shared* event must still order
+    // apart from a pristine branch of the same shape — and (rate,
+    // reference count) when rate-inclusive.
+    for (const std::uint32_t e : reached_basics) {
+        basic_hash[e].shape = hash::combine(kShapeSalt, basic_refs[e]);
+        basic_hash[e].full = hash::combine(
+            hash::combine(kEventSalt, double_bits(basics[e].lambda)), basic_refs[e]);
+    }
+    hash_gates();
+
+    // Phase 2: context refinement.  The phase-1 hashes see an event as
     // (rate, ref count) — two *distinct* shared events with equal rates
     // and equal ref counts tie, and the stable sort then falls back to
     // construction order.  Construction order is declaration order of
@@ -321,95 +374,98 @@ FaultTree canonical_form(const FaultTree& ft) {
     // rate-blind refinement uses rate-blind parent hashes, keeping the
     // primary sort key rate-blind — a lambda nudge still cannot reorder
     // siblings that shape and sharing separate (the property the batched
-    // multi-lambda evaluation keys on).
-    prelim(root);        // populate gate_prelim for every reachable gate
-    shape_prelim(root);  // populate gate_shape likewise
-    auto context_sig = [&](const std::vector<std::uint32_t>& parents,
-                           const std::unordered_map<std::uint32_t, std::uint64_t>& gate_hash) {
-        std::vector<std::uint64_t> hs;
-        hs.reserve(parents.size());
-        for (const std::uint32_t g : parents) hs.push_back(gate_hash.at(g));
-        std::sort(hs.begin(), hs.end());
-        std::uint64_t h = 0x637478ull /* "ctx" */;
-        for (const std::uint64_t ph : hs) h = hash::combine(h, ph);
-        return h;
-    };
-    std::unordered_map<std::uint32_t, std::uint64_t> refined_gate;
-    std::function<std::uint64_t(FtRef)> refined = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            return hash::combine(prelim(r), context_sig(basic_parents[r.index], gate_prelim));
+    // multi-lambda evaluation keys on).  Gates then re-hash over the
+    // refined events.
+    for (const std::uint32_t e : reached_basics) {
+        const std::uint32_t begin = parent_begin[e];
+        const std::uint32_t n = parent_begin[e + 1] - begin;
+        scratch.resize(2 * std::size_t{n});
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const HashPair& ph = gate_hash[parents[begin + i]];
+            scratch[i] = ph.shape;
+            scratch[n + i] = ph.full;
         }
-        if (auto it = refined_gate.find(r.index); it != refined_gate.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(refined(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        refined_gate.emplace(r.index, h);
-        return h;
-    };
-    std::unordered_map<std::uint32_t, std::uint64_t> refined_shape_gate;
-    std::function<std::uint64_t(FtRef)> refined_shape = [&](FtRef r) -> std::uint64_t {
-        if (r.kind == FtRef::Kind::Basic) {
-            return hash::combine(shape_prelim(r), context_sig(basic_parents[r.index], gate_shape));
+        std::sort(scratch.begin(), scratch.begin() + n);
+        std::sort(scratch.begin() + n, scratch.end());
+        HashPair ctx{kContextSalt, kContextSalt};
+        for (std::uint32_t i = 0; i < n; ++i) {
+            ctx.shape = hash::combine(ctx.shape, scratch[i]);
+            ctx.full = hash::combine(ctx.full, scratch[n + i]);
         }
-        if (auto it = refined_shape_gate.find(r.index); it != refined_shape_gate.end()) {
-            return it->second;
-        }
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::uint64_t> child_hashes;
-        child_hashes.reserve(g.children.size());
-        for (FtRef c : g.children) child_hashes.push_back(refined_shape(c));
-        std::sort(child_hashes.begin(), child_hashes.end());
-        std::uint64_t h =
-            hash::combine(0x67617465ull /* "gate" */, static_cast<std::uint64_t>(g.kind));
-        h = hash::combine(h, gate_refs[r.index]);
-        for (const std::uint64_t ch : child_hashes) h = hash::combine(h, ch);
-        refined_shape_gate.emplace(r.index, h);
-        return h;
-    };
+        basic_hash[e].shape = hash::combine(basic_hash[e].shape, ctx.shape);
+        basic_hash[e].full = hash::combine(basic_hash[e].full, ctx.full);
+    }
+    hash_gates();
 
-    // Phase 2: rebuild with children stably sorted by their refined
-    // (rate-blind, rate-inclusive) hash pair.  Stability keeps full
+    // Phase 3: every reachable gate's children stably sorted by their
+    // refined (shape, full) pair, laid out flat.  Stability keeps full
     // ties (identical subtree shapes, sharing, rates and context) in
     // original order — those never produce a false cache hit because the
     // final order-dependent hash still separates them.
-    FaultTree out;
-    std::unordered_map<std::uint32_t, FtRef> basic_map;
-    std::unordered_map<std::uint32_t, FtRef> gate_map;
-    std::function<FtRef(FtRef)> rebuild = [&](FtRef r) -> FtRef {
-        if (r.kind == FtRef::Kind::Basic) {
-            if (auto it = basic_map.find(r.index); it != basic_map.end()) return it->second;
-            const BasicEvent& e = ft.basic_event(r.index);
-            const FtRef added = out.add_basic_event(e.name, e.lambda);
-            basic_map.emplace(r.index, added);
-            return added;
-        }
-        if (auto it = gate_map.find(r.index); it != gate_map.end()) return it->second;
-        const Gate& g = ft.gate(r.index);
-        std::vector<std::tuple<std::uint64_t, std::uint64_t, std::size_t>> order;
-        order.reserve(g.children.size());
-        for (std::size_t i = 0; i < g.children.size(); ++i) {
-            order.emplace_back(refined_shape(g.children[i]), refined(g.children[i]), i);
+    std::vector<std::uint32_t> sorted_begin(gates.size(), 0);
+    std::vector<FtRef> sorted;
+    std::vector<std::pair<HashPair, FtRef>> order;
+    for (const std::uint32_t g : postorder) {
+        order.clear();
+        for (const FtRef c : gates[g].children) {
+            order.emplace_back(
+                c.kind == FtRef::Kind::Gate ? gate_hash[c.index] : basic_hash[c.index], c);
         }
         std::stable_sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-            if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) < std::get<0>(b);
-            return std::get<1>(a) < std::get<1>(b);
+            if (a.first.shape != b.first.shape) return a.first.shape < b.first.shape;
+            return a.first.full < b.first.full;
         });
-        std::vector<FtRef> children;
-        children.reserve(order.size());
-        for (const auto& [sh, h, i] : order) children.push_back(rebuild(g.children[i]));
-        const FtRef added = out.add_gate(g.name, g.kind, std::move(children));
-        gate_map.emplace(r.index, added);
-        return added;
+        sorted_begin[g] = static_cast<std::uint32_t>(sorted.size());
+        for (const auto& entry : order) sorted.push_back(entry.second);
+    }
+
+    // Phase 4: rebuild depth-first over the sorted children.  Events are
+    // numbered on first arrival and gates on completion — exactly the
+    // first-occurrence numbering structural_hash()/shape_hash() apply to
+    // the result — so both hashes of the canonical tree fold up in the
+    // same pass.
+    std::vector<std::uint32_t> basic_map(basics.size(), kUnset);
+    std::vector<std::uint32_t> gate_map(gates.size(), kUnset);
+    std::vector<HashPair> out_hash(gates.size());  // (shape_hash, structural_hash) terms
+    auto sorted_children = [&](std::uint32_t g) {
+        return std::span<const FtRef>(sorted).subspan(sorted_begin[g], gates[g].children.size());
     };
-    out.set_top(rebuild(root));
+    detail::walk_gates(
+        gates.size(), basics.size(), root.index, sorted_children,
+        [&](std::uint32_t, FtRef c) {
+            if (c.kind == FtRef::Kind::Basic && basic_map[c.index] == kUnset) {
+                const BasicEvent& e = basics[c.index];
+                basic_map[c.index] = out.tree.add_basic_event(e.name, e.lambda).index;
+            }
+        },
+        [&](std::uint32_t g) {
+            const Gate& gate = gates[g];
+            const std::uint64_t seed = gate_seed(gate.kind);
+            HashPair h{seed, seed};
+            std::vector<FtRef> children;
+            children.reserve(gate.children.size());
+            for (const FtRef c : sorted_children(g)) {
+                if (c.kind == FtRef::Kind::Gate) {
+                    children.push_back(FtRef{FtRef::Kind::Gate, gate_map[c.index]});
+                    h.shape = hash::combine(h.shape, out_hash[c.index].shape);
+                    h.full = hash::combine(h.full, out_hash[c.index].full);
+                } else {
+                    const std::uint32_t id = basic_map[c.index];
+                    children.push_back(FtRef{FtRef::Kind::Basic, id});
+                    h.shape = hash::combine(h.shape, shape_leaf(id));
+                    h.full = hash::combine(h.full, structural_leaf(id, basics[c.index].lambda));
+                }
+            }
+            gate_map[g] = out.tree.add_gate(gate.name, gate.kind, std::move(children)).index;
+            out_hash[g] = h;
+        });
+    out.tree.set_top(FtRef{FtRef::Kind::Gate, gate_map[root.index]});
+    out.structural_hash = out_hash[root.index].full;
+    out.shape_hash = out_hash[root.index].shape;
     return out;
 }
+
+FaultTree canonical_form(const FaultTree& ft) { return canonicalize(ft).tree; }
 
 std::vector<std::uint32_t> FaultTree::reachable_basic_events(FtRef root) const {
     std::vector<std::uint32_t> out;

@@ -15,7 +15,6 @@
 #include <iosfwd>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/error.h"
@@ -122,9 +121,18 @@ public:
     [[nodiscard]] std::vector<std::uint32_t> reachable_basic_events(FtRef root) const;
 
 private:
+    /// The slot of name_slots_ holding `name`'s event, or the empty slot
+    /// where it would go.  Requires a non-empty table.
+    [[nodiscard]] std::size_t name_slot(std::string_view name) const noexcept;
+    /// `name`'s event index + 1, or 0 when no event has that name.
+    [[nodiscard]] std::uint32_t name_entry(std::string_view name) const noexcept;
+
     std::vector<BasicEvent> basics_;
     std::vector<Gate> gates_;
-    std::unordered_map<std::string, std::uint32_t> basic_by_name_;
+    /// Name index over basics_: open addressing with linear probing; a
+    /// slot holds event index + 1 (0 = empty).  The capacity is a power
+    /// of two, at least twice the event count.
+    std::vector<std::uint32_t> name_slots_;
     FtRef top_{};
     bool has_top_ = false;
 };
@@ -150,7 +158,23 @@ private:
 /// distinct shared events carry equal rates and reference counts (the
 /// Table-I norm).  tests/test_ftree.cpp and tests/test_cft.cpp hold
 /// shuffled-but-isomorphic builds to hash equality.
+///
+/// Cost: linear in the reachable DAG plus the per-gate child sorts —
+/// one iterative walk for reference counts, two flat hashing sweeps over
+/// the gates in children-first order (preliminary, then context-refined;
+/// each computes the rate-blind and rate-inclusive hash together), and
+/// one explicit-stack rebuild.  docs/ftree.md gives the details.
 [[nodiscard]] FaultTree canonical_form(const FaultTree& ft);
+
+/// canonical_form() together with the canonical tree's hashes, which
+/// the rebuild computes as it goes: `structural_hash` and `shape_hash`
+/// equal tree.structural_hash() and tree.shape_hash().
+struct CanonicalTree {
+    FaultTree tree;
+    std::uint64_t structural_hash = 0;
+    std::uint64_t shape_hash = 0;
+};
+[[nodiscard]] CanonicalTree canonicalize(const FaultTree& ft);
 
 /// Exact index-wise structural equality ignoring names and failure
 /// rates: same gate count/kinds/child lists, same basic-event count,

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
+#include <span>
 #include <utility>
 
 #include "core/hash.h"
+#include "ftree/dag_walk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -58,59 +59,62 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
 
     const std::size_t gate_count = ft.gates().size();
     const std::size_t basic_count = ft.basic_events().size();
+    const std::span<const Gate> gates = ft.gates();
+    const std::span<const BasicEvent> basics = ft.basic_events();
 
     // Phase 1: DFS visit dates.  Every edge is traversed exactly once
     // (an already-expanded gate is dated again but not re-expanded), so
     // a node referenced from outside a subtree carries a visit date
     // outside that subtree root's [first-arrival, completion] window.
+    // The walk also yields the reachable gates children-first.
     constexpr std::uint64_t kUnvisited = 0;
     std::vector<std::uint64_t> basic_lo(basic_count, kUnvisited);
     std::vector<std::uint64_t> basic_hi(basic_count, 0);
     std::vector<std::uint64_t> gate_lo(gate_count, kUnvisited);
     std::vector<std::uint64_t> gate_hi(gate_count, 0);
     std::vector<std::uint64_t> gate_fin(gate_count, 0);
-    std::uint64_t t = 0;
-    std::function<void(FtRef)> visit = [&](FtRef r) {
-        ++t;
-        if (r.kind == FtRef::Kind::Basic) {
-            if (basic_lo[r.index] == kUnvisited) basic_lo[r.index] = t;
-            basic_hi[r.index] = t;
-            return;
-        }
-        if (gate_lo[r.index] != kUnvisited) {
-            gate_hi[r.index] = t;  // dates are monotone: later revisits win
-            return;
-        }
-        gate_lo[r.index] = t;
-        for (FtRef c : ft.gate(r.index).children) visit(c);
-        ++t;
-        gate_fin[r.index] = t;
-        gate_hi[r.index] = t;
-    };
-    visit(top);
+    std::vector<std::uint32_t> postorder;
+    std::uint64_t t = 1;
+    gate_lo[top.index] = t;
+    detail::walk_gates(
+        ft, top.index,
+        [&](std::uint32_t, FtRef c) {
+            ++t;
+            if (c.kind == FtRef::Kind::Basic) {
+                if (basic_lo[c.index] == kUnvisited) basic_lo[c.index] = t;
+                basic_hi[c.index] = t;
+            } else if (gate_lo[c.index] != kUnvisited) {
+                gate_hi[c.index] = t;  // dates are monotone: later revisits win
+            } else {
+                gate_lo[c.index] = t;
+            }
+        },
+        [&](std::uint32_t g) {
+            ++t;
+            gate_fin[g] = t;
+            gate_hi[g] = t;
+            postorder.push_back(g);
+        });
 
-    // Phase 2: per-node min/max visit date over the node and all its
-    // descendants, memoised over the DAG.
+    // Phase 2: per-gate min/max visit date over the gate and all its
+    // descendants, children-first.
     std::vector<std::uint64_t> gate_min(gate_count, 0);
     std::vector<std::uint64_t> gate_max(gate_count, 0);
-    std::vector<char> agg_done(gate_count, 0);
-    std::function<std::pair<std::uint64_t, std::uint64_t>(FtRef)> agg =
-        [&](FtRef r) -> std::pair<std::uint64_t, std::uint64_t> {
+    auto span_of = [&](FtRef r) -> std::pair<std::uint64_t, std::uint64_t> {
         if (r.kind == FtRef::Kind::Basic) return {basic_lo[r.index], basic_hi[r.index]};
-        if (agg_done[r.index]) return {gate_min[r.index], gate_max[r.index]};
-        std::uint64_t mn = gate_lo[r.index];
-        std::uint64_t mx = gate_hi[r.index];
-        for (FtRef c : ft.gate(r.index).children) {
-            const auto [cmn, cmx] = agg(c);
+        return {gate_min[r.index], gate_max[r.index]};
+    };
+    for (const std::uint32_t g : postorder) {
+        std::uint64_t mn = gate_lo[g];
+        std::uint64_t mx = gate_hi[g];
+        for (const FtRef c : gates[g].children) {
+            const auto [cmn, cmx] = span_of(c);
             mn = std::min(mn, cmn);
             mx = std::max(mx, cmx);
         }
-        agg_done[r.index] = 1;
-        gate_min[r.index] = mn;
-        gate_max[r.index] = mx;
-        return {mn, mx};
-    };
-    agg(top);
+        gate_min[g] = mn;
+        gate_max[g] = mx;
+    }
 
     // Phase 3: the module test.  A gate is a module iff every strict
     // descendant's dates stay inside its own expansion window — i.e. no
@@ -119,11 +123,10 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     // module is still a module (its pseudo-variable simply occurs
     // several times in the enclosing region).
     std::vector<char> is_module(gate_count, 0);
-    for (std::uint32_t g = 0; g < gate_count; ++g) {
-        if (gate_lo[g] == kUnvisited) continue;  // unreachable from top
+    for (const std::uint32_t g : postorder) {
         bool mod = true;
-        for (FtRef c : ft.gate(g).children) {
-            const auto [cmn, cmx] = agg(c);
+        for (const FtRef c : gates[g].children) {
+            const auto [cmn, cmx] = span_of(c);
             if (cmn < gate_lo[g] || cmx > gate_fin[g]) {
                 mod = false;
                 break;
@@ -134,55 +137,102 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     is_module[top.index] = 1;  // the whole tree is always a module
 
     // Phase 4: build the decomposition bottom-up.  Each module's local
-    // region is walked depth-first; nested module roots become pseudo
-    // leaves whose hash composes the child module's subtree hash, so
-    // the resulting hash is a context-free fingerprint of the module's
-    // full subtree.  Local leaf ids (events and pseudo leaves share one
-    // first-occurrence counter) capture the sharing pattern exactly as
-    // FaultTree::structural_hash() does.
-    std::function<std::uint32_t(FtRef)> build = [&](FtRef mroot) -> std::uint32_t {
-        if (auto it = dec.module_of_gate.find(mroot.index); it != dec.module_of_gate.end()) {
-            return it->second;
-        }
-        Module m;
-        m.root = mroot;
+    // region is walked depth-first; a nested module root met for the
+    // first time opens its own region on the same explicit stack and is
+    // finished — and appended to dec.modules — before its parent region
+    // resumes, so modules come out children-before-parents.  Nested
+    // module roots become pseudo leaves whose hash composes the child
+    // module's subtree hash, so the resulting hash is a context-free
+    // fingerprint of the module's full subtree.  Local leaf ids (events
+    // and pseudo leaves share one first-occurrence counter per region)
+    // capture the sharing pattern exactly as
+    // FaultTree::structural_hash() does.  Per-node leaf ids and gate
+    // hashes are stamped with the region that assigned them.
+    constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    struct Region {
+        std::uint32_t id = 0;
         std::uint64_t next_leaf = 0;
-        std::unordered_map<std::uint32_t, std::uint64_t> event_leaf;
-        std::unordered_map<std::uint32_t, std::uint64_t> pseudo_leaf;
-        std::unordered_map<std::uint32_t, std::uint64_t> gate_memo;
-        std::function<std::uint64_t(FtRef, bool)> walk = [&](FtRef r,
-                                                             bool at_root) -> std::uint64_t {
-            if (r.kind == FtRef::Kind::Basic) {
-                const auto [it, inserted] = event_leaf.try_emplace(r.index, next_leaf);
-                if (inserted) ++next_leaf;
-                return hash::combine(hash::combine(kLeafEventSalt, it->second),
-                                     lambda_bits(ft.basic_event(r.index).lambda));
-            }
-            if (!at_root && is_module[r.index]) {
-                const std::uint32_t child = build(r);
-                const auto [it, inserted] = pseudo_leaf.try_emplace(r.index, next_leaf);
-                if (inserted) {
-                    ++next_leaf;
-                    m.child_modules.push_back(child);
-                }
-                return hash::combine(hash::combine(kPseudoSalt, it->second),
-                                     dec.modules[child].subtree_hash);
-            }
-            if (auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-            const Gate& g = ft.gate(r.index);
-            std::uint64_t h = hash::combine(kGateSalt, static_cast<std::uint64_t>(g.kind));
-            for (FtRef c : g.children) h = hash::combine(h, walk(c, false));
-            gate_memo.emplace(r.index, h);
-            return h;
-        };
-        m.subtree_hash = hash::combine(kModuleTreeSalt, walk(mroot, true));
-        m.basic_events = event_leaf.size();
-        const auto index = static_cast<std::uint32_t>(dec.modules.size());
-        dec.module_of_gate.emplace(mroot.index, index);
-        dec.modules.push_back(std::move(m));
-        return index;
+        Module module;
     };
-    build(top);
+    struct Frame {
+        std::uint32_t gate = 0;
+        std::uint32_t slot = 0;
+        std::uint64_t hash = 0;
+        bool region_root = false;
+    };
+    std::vector<std::uint32_t> event_region(basic_count, kNone);
+    std::vector<std::uint64_t> event_leaf(basic_count, 0);
+    std::vector<std::uint32_t> gate_region(gate_count, kNone);  // stamps gate_hash
+    std::vector<std::uint64_t> gate_hash(gate_count, 0);
+    std::vector<std::uint32_t> pseudo_region(gate_count, kNone);
+    std::vector<std::uint64_t> pseudo_leaf(gate_count, 0);
+    std::vector<std::uint32_t> module_index(gate_count, kNone);
+    std::vector<Region> regions;
+    std::vector<Frame> frames;
+    std::uint32_t next_region = 0;
+    auto open = [&](std::uint32_t g, bool region_root) {
+        if (region_root) {
+            regions.push_back(Region{next_region++, 0, Module{}});
+            regions.back().module.root = FtRef{FtRef::Kind::Gate, g};
+        }
+        frames.push_back(Frame{g, 0, hash::combine(kGateSalt, static_cast<std::uint64_t>(
+                                                                  gates[g].kind)),
+                               region_root});
+    };
+    open(top.index, true);
+    while (!frames.empty()) {
+        Frame& f = frames.back();
+        Region& region = regions.back();
+        const std::vector<FtRef>& children = gates[f.gate].children;
+        if (f.slot == children.size()) {
+            const Frame done = f;
+            frames.pop_back();
+            if (!done.region_root) {
+                gate_region[done.gate] = region.id;
+                gate_hash[done.gate] = done.hash;
+                continue;
+            }
+            Module& m = region.module;
+            m.subtree_hash = hash::combine(kModuleTreeSalt, done.hash);
+            const auto index = static_cast<std::uint32_t>(dec.modules.size());
+            module_index[done.gate] = index;
+            dec.module_of_gate.emplace(done.gate, index);
+            dec.modules.push_back(std::move(m));
+            regions.pop_back();
+            continue;
+        }
+        const FtRef c = children[f.slot];
+        std::uint64_t ch = 0;
+        if (c.kind == FtRef::Kind::Basic) {
+            if (event_region[c.index] != region.id) {
+                event_region[c.index] = region.id;
+                event_leaf[c.index] = region.next_leaf++;
+                ++region.module.basic_events;
+            }
+            ch = hash::combine(hash::combine(kLeafEventSalt, event_leaf[c.index]),
+                               lambda_bits(basics[c.index].lambda));
+        } else if (is_module[c.index]) {
+            if (module_index[c.index] == kNone) {
+                open(c.index, true);  // descend; this slot is revisited once built
+                continue;
+            }
+            if (pseudo_region[c.index] != region.id) {
+                pseudo_region[c.index] = region.id;
+                pseudo_leaf[c.index] = region.next_leaf++;
+                region.module.child_modules.push_back(module_index[c.index]);
+            }
+            ch = hash::combine(hash::combine(kPseudoSalt, pseudo_leaf[c.index]),
+                               dec.modules[module_index[c.index]].subtree_hash);
+        } else {
+            if (gate_region[c.index] != region.id) {
+                open(c.index, false);  // descend; this slot is revisited once hashed
+                continue;
+            }
+            ch = gate_hash[c.index];
+        }
+        f.hash = hash::combine(f.hash, ch);
+        ++f.slot;
+    }
     count_decomposition(dec);
     return dec;
 }

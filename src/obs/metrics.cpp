@@ -88,13 +88,11 @@ void Histogram::observe(double v) noexcept {
     }
 }
 
-double histogram_quantile(std::span<const double> bounds,
-                          std::span<const std::uint64_t> counts, double q) noexcept {
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : counts) total += c;
-    if (total == 0) return 0.0;
-    if (q < 0.0) q = 0.0;
-    if (q > 1.0) q = 1.0;
+namespace {
+
+/// Bucket-interpolated q-quantile of a non-empty histogram.
+double interpolate_quantile(std::span<const double> bounds, std::span<const std::uint64_t> counts,
+                            std::uint64_t total, double q) noexcept {
     const double rank = q * static_cast<double>(total);
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -110,6 +108,19 @@ double histogram_quantile(std::span<const double> bounds,
         return lower + (upper - lower) * (into < 0.0 ? 0.0 : into);
     }
     return bounds.empty() ? 0.0 : bounds.back();  // unreachable with exact counts
+}
+
+}  // namespace
+
+double histogram_quantile(std::span<const double> bounds, std::span<const std::uint64_t> counts,
+                          double q, double min_value, double max_value) noexcept {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts) total += c;
+    if (total == 0) return 0.0;
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    const double estimate = interpolate_quantile(bounds, counts, total, q);
+    return std::min(std::max(estimate, min_value), max_value);
 }
 
 std::span<const double> latency_bounds_ns() noexcept {

@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -110,9 +111,15 @@ private:
 /// rank landing in the overflow bucket returns the last bound — the
 /// histogram cannot see past it.  Returns 0 when the histogram is
 /// empty.  `counts` has bounds.size() + 1 entries (last = overflow).
+/// When the caller also tracked the observed extremes, pass them as
+/// [min_value, max_value]: the estimate is clamped into that range, so
+/// a quantile never falls outside the samples it summarises (one sample
+/// at 459 reports 459, not the 384 bucket interpolation would give).
 /// Used by the span profiler's p50/p95 columns (obs/profile.h).
-[[nodiscard]] double histogram_quantile(std::span<const double> bounds,
-                                        std::span<const std::uint64_t> counts, double q) noexcept;
+[[nodiscard]] double histogram_quantile(
+    std::span<const double> bounds, std::span<const std::uint64_t> counts, double q,
+    double min_value = -std::numeric_limits<double>::infinity(),
+    double max_value = std::numeric_limits<double>::infinity()) noexcept;
 
 /// One value of every registered metric, in registration-id order
 /// (std::map keeps snapshots deterministic and diffs clean).

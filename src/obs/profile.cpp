@@ -140,8 +140,10 @@ SpanProfile build_profile(std::span<const TraceEvent> events) {
         node.self_ns = a.self_ns;
         node.min_ns = a.min_ns;
         node.max_ns = a.max_ns;
-        node.p50_ns = histogram_quantile(latency_bounds_ns(), a.buckets, 0.50);
-        node.p95_ns = histogram_quantile(latency_bounds_ns(), a.buckets, 0.95);
+        const auto lo = static_cast<double>(a.min_ns);
+        const auto hi = static_cast<double>(a.max_ns);
+        node.p50_ns = histogram_quantile(latency_bounds_ns(), a.buckets, 0.50, lo, hi);
+        node.p95_ns = histogram_quantile(latency_bounds_ns(), a.buckets, 0.95, lo, hi);
         profile.nodes.push_back(std::move(node));
     }
     profile.edges.reserve(edges.size());

@@ -162,7 +162,7 @@ void TimeSeriesSampler::tick() {
         ++ticks_;
         if (!options_.ndjson_path.empty()) {
             if (!ndjson_.is_open()) {
-                ndjson_.open(options_.ndjson_path, std::ios::app);
+                ndjson_.open(options_.ndjson_path, std::ios::trunc);
             }
             if (ndjson_) {
                 ndjson_ << "{\"ts_ns\":" << ts_ns << ",\"metrics\":" << snap.to_json()

@@ -19,7 +19,8 @@
 //
 // Per tick the sampler can also:
 //   * append one NDJSON line ({"ts_ns":..,"metrics":{...}}) to a file
-//     for live tailing,
+//     for live tailing (the file is truncated at the first tick, so a
+//     run never inherits an earlier run's lines),
 //   * rewrite an OpenMetrics exposition file (obs/openmetrics.h) for a
 //     file-based Prometheus scrape,
 //   * evaluate an attached threshold watchdog (obs/watchdog.h).
@@ -46,7 +47,7 @@ class Watchdog;
 struct TimeSeriesOptions {
     std::chrono::milliseconds period{1000};
     std::size_t capacity = 600;  ///< points retained per series
-    std::string ndjson_path;     ///< append one line per tick when set
+    std::string ndjson_path;     ///< one line per tick when set (truncated at the first)
     std::string openmetrics_path;  ///< rewrite exposition per tick when set
 };
 

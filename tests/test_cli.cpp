@@ -4,7 +4,9 @@
 
 #include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "io/json.h"
@@ -26,14 +28,42 @@ CliRun run(std::vector<std::string> args) {
     return {code, out.str(), err.str()};
 }
 
-// Unique per test case: ctest runs each gtest case as its own process,
-// and concurrent processes must not collide on scratch files.  Outside a
-// test body (suite set-up) the pid disambiguates instead.
+// Every test case writes into a directory of its own, named after the
+// case (suite set-up outside a test body gets "suite") and the process,
+// emptied on first use and removed when the process ends.  ctest runs
+// each gtest case as its own process, so concurrent cases never collide,
+// and no case can read a file an earlier run left behind.
+class TempDirs : public ::testing::Environment {
+public:
+    static std::filesystem::path dir_for(const std::string& owner) {
+        const std::filesystem::path dir =
+            std::filesystem::path(::testing::TempDir()) /
+            ("asilkit_cli_" + owner + "_" + std::to_string(::getpid()));
+        if (created().insert(dir.string()).second) {
+            std::filesystem::remove_all(dir);
+            std::filesystem::create_directories(dir);
+        }
+        return dir;
+    }
+    void TearDown() override {
+        std::error_code ignored;
+        for (const std::string& dir : created()) std::filesystem::remove_all(dir, ignored);
+    }
+
+private:
+    static std::set<std::string>& created() {
+        static std::set<std::string> dirs;
+        return dirs;
+    }
+};
+
+[[maybe_unused]] ::testing::Environment* const temp_dirs =
+    ::testing::AddGlobalTestEnvironment(new TempDirs);
+
 std::string temp_path(const std::string& name) {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    const std::string prefix = info != nullptr ? std::string(info->name())
-                                               : "pid" + std::to_string(::getpid());
-    return ::testing::TempDir() + "/" + prefix + "_" + name;
+    const std::string owner = info != nullptr ? std::string(info->name()) : "suite";
+    return (TempDirs::dir_for(owner) / name).string();
 }
 
 /// Writes the fig3 demo model once for the read-only commands.

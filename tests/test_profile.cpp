@@ -57,6 +57,42 @@ TEST(HistogramQuantile, EmptyAndClampedInputs) {
                      histogram_quantile(bounds, some, 1.0));
 }
 
+TEST(HistogramQuantile, ClampsToObservedRange) {
+    const std::vector<double> bounds{10.0, 20.0};
+    const std::vector<std::uint64_t> counts{0, 2, 0};  // two samples in (10, 20]
+    EXPECT_DOUBLE_EQ(histogram_quantile(bounds, counts, 0.5), 15.0);  // range unknown
+    EXPECT_DOUBLE_EQ(histogram_quantile(bounds, counts, 0.5, 16.0, 18.0), 16.0);
+    EXPECT_DOUBLE_EQ(histogram_quantile(bounds, counts, 1.0, 16.0, 18.0), 18.0);
+}
+
+TEST(Profile, SingleSampleQuantilesEqualTheSample) {
+    // One 459 µs span lands in the (256, 512] µs bucket; unclamped
+    // interpolation would report p50 = 384 µs, below the only sample.
+    const std::vector<TraceEvent> events{ev('B', "once", 0), ev('E', "once", 459'000)};
+    const SpanProfile profile = build_profile(events);
+    const SpanProfile::Node* once = profile.find("once");
+    ASSERT_NE(once, nullptr);
+    EXPECT_DOUBLE_EQ(once->p50_ns, 459'000.0);
+    EXPECT_DOUBLE_EQ(once->p95_ns, 459'000.0);
+}
+
+TEST(Profile, TwoSampleQuantilesStayWithinMinMax) {
+    // 300 µs and 459 µs share one bucket: the interpolated p95 (499 µs)
+    // would exceed the larger sample.
+    const std::vector<TraceEvent> events{
+        ev('B', "twice", 0),         ev('E', "twice", 300'000),
+        ev('B', "twice", 1'000'000), ev('E', "twice", 1'459'000),
+    };
+    const SpanProfile profile = build_profile(events);
+    const SpanProfile::Node* twice = profile.find("twice");
+    ASSERT_NE(twice, nullptr);
+    EXPECT_EQ(twice->min_ns, 300'000u);
+    EXPECT_EQ(twice->max_ns, 459'000u);
+    EXPECT_GE(twice->p50_ns, 300'000.0);
+    EXPECT_LE(twice->p50_ns, 459'000.0);
+    EXPECT_DOUBLE_EQ(twice->p95_ns, 459'000.0);
+}
+
 TEST(Profile, SelfTimeExcludesChildren) {
     const std::vector<TraceEvent> events{
         ev('B', "outer", 0),
