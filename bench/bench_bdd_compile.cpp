@@ -1,15 +1,15 @@
-// Ablation: persistent cross-candidate BDD compilation.
+// BDD compilation costs of the DSE loop (see docs/bdd.md).
 //
-// The DSE loop recompiles near-identical fault trees thousands of times;
-// a per-candidate throwaway BddManager pays the full apply() cost every
-// time.  This bench measures the three mechanisms that remove that cost
-// (see docs/bdd.md):
-//   * persistent compilation — one long-lived manager + subtree compile
-//     memo vs a cold manager per candidate, on a rotating-variant regime
-//     (the steepest-descent access pattern: the same shapes come back
-//     with perturbed rates);
-//   * the mark-and-compact collection — pause time and reclaimed nodes
-//     at a realistic live/garbage ratio;
+// The DSE loop recompiles near-identical fault trees thousands of times.
+// This bench measures:
+//   * whole-tree compilation on a cold manager per candidate, on a
+//     rotating-variant regime (the steepest-descent access pattern: the
+//     same shapes come back with perturbed rates);
+//   * module evaluation — every module of the canonical tree through a
+//     fresh manager per module vs one reused bdd::ModuleEvaluator
+//     workspace (the engine's per-thread path);
+//   * the mark-and-compact collection of long-lived managers — pause
+//     time and reclaimed nodes at a realistic live/garbage ratio;
 //   * the batched multi-lambda probability kernel — k rate lanes in one
 //     SoA sweep vs k sequential probability() calls, k = 1/8/64.
 #include "bench_util.h"
@@ -22,6 +22,7 @@
 #include "bdd/bdd.h"
 #include "bdd/from_fault_tree.h"
 #include "ftree/builder.h"
+#include "ftree/modules.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
 
@@ -37,8 +38,8 @@ ftree::FaultTree tree_with_blocks(std::size_t blocks) {
     return ftree::build_fault_tree(m).tree;
 }
 
-/// The same tree with every rate scaled: the rate-only candidate variant
-/// the subtree memo is built for (indices preserved, diagram unchanged).
+/// The same tree with every rate scaled: a rate-only candidate variant
+/// (indices preserved, diagram unchanged).
 ftree::FaultTree scale_rates(const ftree::FaultTree& ft, double factor) {
     ftree::FaultTree out;
     for (const ftree::BasicEvent& b : ft.basic_events()) {
@@ -62,6 +63,38 @@ std::vector<ftree::FaultTree> rotating_variants(std::size_t blocks, std::size_t 
         variants.push_back(scale_rates(base, 1.0 + 0.05 * static_cast<double>(v)));
     }
     return variants;
+}
+
+/// A canonical tree with its module decomposition: what the engine
+/// evaluates per candidate.
+struct ModularTree {
+    ftree::FaultTree tree;
+    ftree::ModuleDecomposition dec;
+};
+
+std::vector<ModularTree> modular_variants(std::size_t blocks, std::size_t count) {
+    std::vector<ModularTree> out;
+    for (const ftree::FaultTree& ft : rotating_variants(blocks, count)) {
+        ftree::FaultTree canon = ftree::canonical_form(ft);
+        ftree::ModuleDecomposition dec = ftree::find_modules(canon);
+        out.push_back({std::move(canon), std::move(dec)});
+    }
+    return out;
+}
+
+/// Evaluates every module bottom-up through `eval` (a fresh manager per
+/// module when null); returns the top probability.
+double evaluate_modules(const ModularTree& t, bdd::ModuleEvaluator* eval) {
+    std::vector<double> prob(t.dec.size());
+    std::vector<double> children;
+    for (std::size_t i = 0; i < t.dec.size(); ++i) {
+        children.clear();
+        for (const std::uint32_t c : t.dec.modules[i].child_modules) children.push_back(prob[c]);
+        prob[i] = (eval != nullptr ? eval->evaluate_module(t.tree, t.dec, i, children, 1.0)
+                                   : bdd::evaluate_module(t.tree, t.dec, i, children, 1.0))
+                      .probability;
+    }
+    return prob.back();
 }
 
 std::vector<bdd::ProbVector> rate_lanes(const ftree::FaultTree& ft,
@@ -99,30 +132,26 @@ void print_report() {
             std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start).count());
     };
 
-    bench::heading("persistent vs cold compilation (rotating rate variants, 6 blocks)");
-    const std::vector<ftree::FaultTree> variants = rotating_variants(6, 8);
+    bench::heading("module evaluation: fresh managers vs reused workspace (6 blocks)");
+    const std::vector<ModularTree> variants = modular_variants(6, 8);
     constexpr int kRounds = 64;
-    const auto cold_start = clock::now();
+    const auto fresh_start = clock::now();
     for (int r = 0; r < kRounds; ++r) {
-        benchmark::DoNotOptimize(bdd::compile_fault_tree(variants[r % variants.size()]));
+        benchmark::DoNotOptimize(evaluate_modules(variants[r % variants.size()], nullptr));
     }
-    const double cold_ns = ns_since(cold_start) / kRounds;
+    const double fresh_ns = ns_since(fresh_start) / kRounds;
 
-    bdd::PersistentBddCompiler comp;
-    const auto warm_start = clock::now();
+    bdd::ModuleEvaluator workspace;
+    const auto reused_start = clock::now();
     for (int r = 0; r < kRounds; ++r) {
-        benchmark::DoNotOptimize(comp.compile(variants[r % variants.size()]));
+        benchmark::DoNotOptimize(evaluate_modules(variants[r % variants.size()], &workspace));
     }
-    const double warm_ns = ns_since(warm_start) / kRounds;
-    const auto stats = comp.stats();
-    bench::row("cold compile (fresh manager) ns", cold_ns);
-    bench::row("persistent compile ns", warm_ns);
-    bench::row("speedup", cold_ns / warm_ns);
-    bench::row("subtree memo hit rate",
-               static_cast<double>(stats.memo_hits) /
-                   static_cast<double>(stats.memo_hits + stats.memo_misses));
-    bench::note("rate-only variants re-derive the whole diagram from the rate-blind");
-    bench::note("subtree memo: after the first candidate every compile is one lookup.");
+    const double reused_ns = ns_since(reused_start) / kRounds;
+    bench::row("fresh manager per module ns/tree", fresh_ns);
+    bench::row("reused workspace ns/tree", reused_ns);
+    bench::row("speedup", fresh_ns / reused_ns);
+    bench::note("the workspace resets one manager per module and reuses the ordering");
+    bench::note("and compile scratch; results are bitwise identical to fresh managers.");
 
     bench::heading("mark-and-compact collection pause");
     bdd::BddManager mgr(64);
@@ -175,21 +204,19 @@ void BM_RotatingVariants_ColdCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_RotatingVariants_ColdCompile)->Arg(4)->Arg(6);
 
-void BM_RotatingVariants_PersistentCompile(benchmark::State& state) {
-    const std::vector<ftree::FaultTree> variants =
-        rotating_variants(static_cast<std::size_t>(state.range(0)), 8);
-    bdd::PersistentBddCompiler comp;
+void BM_ModuleEvaluation(benchmark::State& state) {
+    // Arg 0: fresh manager per module; arg 1: one reused workspace.
+    const std::vector<ModularTree> variants = modular_variants(6, 8);
+    bdd::ModuleEvaluator workspace;
+    bdd::ModuleEvaluator* const eval = state.range(0) != 0 ? &workspace : nullptr;
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(comp.compile(variants[i++ % variants.size()]));
+        benchmark::DoNotOptimize(evaluate_modules(variants[i++ % variants.size()], eval));
     }
-    const auto stats = comp.stats();
-    state.counters["memo_hit_rate"] =
-        static_cast<double>(stats.memo_hits) /
-        static_cast<double>(stats.memo_hits + stats.memo_misses);
-    state.SetLabel(std::to_string(state.range(0)) + " blocks");
+    state.counters["modules"] = static_cast<double>(variants.front().dec.size());
+    state.SetLabel(eval != nullptr ? "reused workspace" : "fresh managers");
 }
-BENCHMARK(BM_RotatingVariants_PersistentCompile)->Arg(4)->Arg(6);
+BENCHMARK(BM_ModuleEvaluation)->Arg(0)->Arg(1);
 
 void BM_GcPause(benchmark::State& state) {
     // Manual time: only the collect() call is measured; regrowing the

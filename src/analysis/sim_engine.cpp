@@ -38,6 +38,9 @@ constexpr std::uint64_t kGranuleTrials = kGranuleWords * 64;
 /// the truncation never unbalances a likelihood ratio.
 constexpr int kThresholdBits = 24;
 
+/// Two-sided 95 % normal quantile of every reported interval.
+constexpr double kZ95 = 1.96;
+
 /// One-pass evaluation order: gate indices sorted so every gate's gate
 /// children precede it.  Identical to the order the scalar oracle has
 /// always used (all gates visited, roots in index order).
@@ -100,16 +103,34 @@ double threshold_probability(const EventThreshold& t) noexcept {
     return t.certain ? 1.0 : std::ldexp(static_cast<double>(t.bits), -64);
 }
 
-/// CLT interval shared by every estimator, with half a trial of slack
-/// so a zero-failure run still brackets 0.  `slack_weight` is the
-/// estimator's granularity: 1 for unweighted counting, the heaviest
-/// observed failing weight under importance sampling (so a sharp
-/// rare-event interval is not inflated to the worst-case weight bound).
+/// 95 % interval of the importance-sampling estimator: CLT half-width
+/// plus half a trial of slack at the estimator's granularity (the
+/// heaviest observed failing weight, so a sharp rare-event interval is
+/// not inflated to the worst-case weight bound; a zero-failure run still
+/// brackets 0), clamped to [0, 1].
 void fill_interval(SimulationResult& r, double std_error, double slack_weight) {
     r.std_error = std_error;
     const double slack = 0.5 * slack_weight / static_cast<double>(r.trials);
-    r.ci95_low = r.estimate - 1.96 * std_error - slack;
-    r.ci95_high = r.estimate + 1.96 * std_error + slack;
+    r.ci95_low = std::clamp(r.estimate - kZ95 * std_error - slack, 0.0, 1.0);
+    r.ci95_high = std::clamp(r.estimate + kZ95 * std_error + slack, 0.0, 1.0);
+}
+
+/// 95 % Wilson score interval for unweighted counting (r.failures of
+/// r.trials): inside [0, 1] by construction, and non-degenerate at 0 or
+/// n failures, where the CLT interval collapses onto — or, with slack,
+/// crosses — the boundary.
+void fill_wilson_interval(SimulationResult& r) {
+    const double n = static_cast<double>(r.trials);
+    const double p = r.estimate;
+    r.std_error = std::sqrt(p * (1.0 - p) / n);
+    const double z2n = kZ95 * kZ95 / n;
+    const double center = (p + 0.5 * z2n) / (1.0 + z2n);
+    const double half = kZ95 * std::sqrt(p * (1.0 - p) / n + 0.25 * z2n / n) / (1.0 + z2n);
+    r.ci95_low = std::clamp(center - half, 0.0, 1.0);
+    r.ci95_high = std::clamp(center + half, 0.0, 1.0);
+    // Rounding must not cut the point estimate out of its own interval.
+    r.ci95_low = std::min(r.ci95_low, p);
+    r.ci95_high = std::max(r.ci95_high, p);
 }
 
 struct GranulePartial {
@@ -265,10 +286,7 @@ SimulationResult SimEngine::run_naive(const SimulationOptions& options) const {
     }
     result.estimate =
         static_cast<double>(result.failures) / static_cast<double>(result.trials);
-    fill_interval(result,
-                  std::sqrt(result.estimate * (1.0 - result.estimate) /
-                            static_cast<double>(result.trials)),
-                  1.0);
+    fill_wilson_interval(result);
     result.ess = static_cast<double>(result.trials);
     return result;
 }
@@ -461,7 +479,7 @@ SimulationResult SimEngine::run_bit_parallel(const SimulationOptions& options) c
         result.ess = total.sum_w2 > 0.0 ? (total.sum_w * total.sum_w) / total.sum_w2 : 0.0;
     } else {
         result.estimate = static_cast<double>(total.failures) / n;
-        fill_interval(result, std::sqrt(result.estimate * (1.0 - result.estimate) / n), 1.0);
+        fill_wilson_interval(result);
         result.ess = n;
     }
     return result;

@@ -69,6 +69,8 @@ struct SimulationOptions {
 struct SimulationResult {
     double estimate = 0.0;   ///< failures / trials (weighted under IS)
     double std_error = 0.0;  ///< sqrt(p(1-p)/n), or the weighted-sample SE under IS
+    /// 95 % interval, always inside [0, 1]: Wilson score for plain
+    /// counting, CLT plus continuity slack (clamped) under IS.
     double ci95_low = 0.0;
     double ci95_high = 0.0;
     std::uint64_t failures = 0;  ///< raw failing trials (unweighted, even under IS)

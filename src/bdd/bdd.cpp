@@ -4,7 +4,6 @@
 #include <cstring>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,6 +63,29 @@ void BddManager::ensure_variables(std::uint32_t count) {
     // still sort after every variable (see var_of).
     nodes_[kFalse].var = variable_count_;
     nodes_[kTrue].var = variable_count_;
+}
+
+void BddManager::reset(std::uint32_t variable_count) {
+    bank_nodes_created();
+    variable_count_ = variable_count;
+    nodes_.resize(2);
+    nodes_[kFalse].var = variable_count_;
+    nodes_[kTrue].var = variable_count_;
+    // assign() to the initial capacity keeps any larger buffer but writes
+    // only kInitialTableCapacity slots: the reset never pays for a table
+    // an earlier, larger diagram grew.
+    unique_.slots.assign(kInitialTableCapacity, kFalse);
+    unique_.entries = 0;
+    for (ApplyCache& cache : apply_cache_) {
+        cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
+        cache.entries = 0;
+    }
+    pins_.clear();
+    pin_free_.clear();
+    prob_memo_.clear();
+    prob_vec_.clear();
+    prob_valid_ = 0;
+    batch_cached_root_ = kFalse;
 }
 
 BddRef BddManager::variable(std::uint32_t var) {
@@ -243,65 +265,66 @@ double BddManager::probability(BddRef f, std::span<const double> var_probability
     return prob_memo_[f];
 }
 
+void BddManager::gather(BddRef f) const {
+    // Visit stamps are epoch-bumped (no O(arena) clear), so the gather
+    // costs O(reachable) however large the arena is.
+    if (batch_cached_root_ == f && batch_cached_arena_ == nodes_.size()) return;
+    if (batch_stamp_.size() < nodes_.size()) {
+        batch_stamp_.resize(nodes_.size(), 0);
+        batch_pos_.resize(nodes_.size());
+    }
+    ++batch_epoch_;
+    batch_refs_.clear();
+    batch_refs_.push_back(f);
+    batch_stamp_[f] = batch_epoch_;
+    for (std::size_t head = 0; head < batch_refs_.size(); ++head) {
+        const Node& n = nodes_[batch_refs_[head]];
+        for (const BddRef child : {n.high, n.low}) {
+            if (is_terminal(child) || batch_stamp_[child] == batch_epoch_) continue;
+            batch_stamp_[child] = batch_epoch_;
+            batch_refs_.push_back(child);
+        }
+    }
+    // Ascending ref order is a topological order (children precede
+    // parents in the arena), exactly like probability()'s suffix sweep.
+    std::sort(batch_refs_.begin(), batch_refs_.end());
+    std::uint32_t max_var = 0;
+    for (std::size_t i = 0; i < batch_refs_.size(); ++i) {
+        const Node& n = nodes_[batch_refs_[i]];
+        if (n.var > max_var) max_var = n.var;
+        batch_pos_[batch_refs_[i]] = static_cast<std::uint32_t>(i + 2);
+    }
+    batch_pos_[kFalse] = 0;
+    batch_pos_[kTrue] = 1;
+    batch_cached_root_ = f;
+    batch_cached_arena_ = nodes_.size();
+    batch_cached_max_var_ = max_var;
+}
+
 std::vector<double> BddManager::probability_batch(BddRef f,
                                                   std::span<const ProbVector> lanes) const {
+    std::vector<double> out(lanes.size());
+    probability_batch(f, lanes, out);
+    return out;
+}
+
+void BddManager::probability_batch(BddRef f, std::span<const ProbVector> lanes,
+                                   std::span<double> out) const {
     const std::size_t k = lanes.size();
     if (k == 0) throw AnalysisError("bdd: probability_batch needs at least one lane");
+    if (out.size() != k) throw AnalysisError("bdd: probability_batch output size != lane count");
     const std::size_t lane_vars = lanes.front().size();
     for (const ProbVector& lane : lanes) {
         if (lane.size() != lane_vars) {
             throw AnalysisError("bdd: probability_batch lanes differ in length");
         }
     }
-    std::vector<double> out(k);
-    if (f == kFalse) return out;
-    if (f == kTrue) {
-        std::fill(out.begin(), out.end(), 1.0);
-        return out;
+    if (is_terminal(f)) {
+        std::fill(out.begin(), out.end(), f == kTrue ? 1.0 : 0.0);
+        return;
     }
 
-    // Gather the reachable interior nodes.  Visit stamps are epoch-
-    // bumped (no O(arena) clear) so the gather costs O(reachable) — the
-    // arena of a persistent manager is much larger than any one diagram.
-    // The gathered order is cached across calls: the diagram under a ref
-    // is immutable while the GC generation and the (append-only) arena
-    // size are unchanged, which is exactly the persistent steady state
-    // (a memo-hit module swept for candidate after candidate).
-    if (batch_cached_root_ != f || batch_cached_generation_ != gc_collections_ ||
-        batch_cached_arena_ != nodes_.size()) {
-        if (batch_stamp_.size() < nodes_.size()) {
-            batch_stamp_.resize(nodes_.size(), 0);
-            batch_pos_.resize(nodes_.size());
-        }
-        ++batch_epoch_;
-        batch_refs_.clear();
-        batch_refs_.push_back(f);
-        batch_stamp_[f] = batch_epoch_;
-        for (std::size_t head = 0; head < batch_refs_.size(); ++head) {
-            const Node& n = nodes_[batch_refs_[head]];
-            for (const BddRef child : {n.high, n.low}) {
-                if (is_terminal(child) || batch_stamp_[child] == batch_epoch_) continue;
-                batch_stamp_[child] = batch_epoch_;
-                batch_refs_.push_back(child);
-            }
-        }
-        // Ascending ref order is a topological order (children precede
-        // parents in the arena), exactly like probability()'s suffix
-        // sweep.
-        std::sort(batch_refs_.begin(), batch_refs_.end());
-        std::uint32_t max_var = 0;
-        for (std::size_t i = 0; i < batch_refs_.size(); ++i) {
-            const Node& n = nodes_[batch_refs_[i]];
-            if (n.var > max_var) max_var = n.var;
-            batch_pos_[batch_refs_[i]] = static_cast<std::uint32_t>(i + 2);
-        }
-        batch_pos_[kFalse] = 0;
-        batch_pos_[kTrue] = 1;
-        batch_cached_root_ = f;
-        batch_cached_generation_ = gc_collections_;
-        batch_cached_arena_ = nodes_.size();
-        batch_cached_max_var_ = max_var;
-    }
+    gather(f);
     if (batch_cached_max_var_ >= lane_vars) {
         throw AnalysisError("bdd: probability_batch lane shorter than reachable variables");
     }
@@ -331,7 +354,6 @@ std::vector<double> BddManager::probability_batch(BddRef f,
     }
     const double* rv = &batch_values_[static_cast<std::size_t>(batch_pos_[f]) * k];
     std::copy_n(rv, k, out.begin());
-    return out;
 }
 
 BddManager::PinId BddManager::pin(BddRef f) {
@@ -365,11 +387,7 @@ BddRef BddManager::pinned(PinId id) const {
 BddManager::GcResult BddManager::collect() {
     const obs::ObsSpan span("bdd_gc", "bdd", "before", static_cast<double>(size()));
     const std::size_t before = size();
-    // Bank un-flushed arena growth before compaction moves the baseline.
-    if (obs_nodes_flushed_ < 2) obs_nodes_flushed_ = 2;
-    if (nodes_.size() > obs_nodes_flushed_) {
-        obs_tally_.nodes_created += nodes_.size() - obs_nodes_flushed_;
-    }
+    bank_nodes_created();
 
     // Mark: everything reachable from a pinned root survives.
     std::vector<char> live(nodes_.size(), 0);
@@ -437,6 +455,7 @@ BddManager::GcResult BddManager::collect() {
     batch_stamp_.clear();
     batch_pos_.clear();
     batch_epoch_ = 0;
+    batch_cached_root_ = kFalse;
 
     for (BddRef& root : pins_) {
         if (root != kUnpinned) root = fwd[root];
@@ -446,9 +465,8 @@ BddManager::GcResult BddManager::collect() {
     ++gc_collections_;
     ++obs_tally_.gc_collections;
     obs_tally_.gc_nodes_freed += result.freed_nodes;
-    // The compacted arena is smaller than anything flushed before; reset
-    // the flush baseline so future growth is counted from here (the
-    // freed nodes were already counted when created).
+    // Future growth is counted from the compacted arena (the freed nodes
+    // were banked above).
     obs_nodes_flushed_ = nodes_.size();
     static obs::Gauge& live_gauge = obs::Registry::global().gauge("bdd.gc.live_nodes");
     live_gauge.set(static_cast<double>(result.live_nodes));
@@ -456,16 +474,16 @@ BddManager::GcResult BddManager::collect() {
 }
 
 std::size_t BddManager::node_count(BddRef f) const {
-    std::unordered_set<BddRef> seen;
-    std::vector<BddRef> stack{f};
-    while (!stack.empty()) {
-        const BddRef x = stack.back();
-        stack.pop_back();
-        if (is_terminal(x) || !seen.insert(x).second) continue;
-        stack.push_back(nodes_[x].high);
-        stack.push_back(nodes_[x].low);
+    if (is_terminal(f)) return 0;
+    gather(f);
+    return batch_refs_.size();
+}
+
+void BddManager::bank_nodes_created() const {
+    if (nodes_.size() > obs_nodes_flushed_) {
+        obs_tally_.nodes_created += nodes_.size() - obs_nodes_flushed_;
     }
-    return seen.size();
+    obs_nodes_flushed_ = 2;
 }
 
 bool BddManager::evaluate(BddRef f, const std::vector<bool>& assignment) const {
@@ -506,10 +524,9 @@ void BddManager::flush_obs() const {
     gc_collections.add(obs_tally_.gc_collections);
     gc_nodes_freed.add(obs_tally_.gc_nodes_freed);
 
-    // Arena growth since the last flush (first flush baselines away the
-    // two terminals, which are storage, not created nodes), plus any
-    // growth collect() banked before compacting.
-    if (obs_nodes_flushed_ < 2) obs_nodes_flushed_ = 2;
+    // Arena growth since the last flush (the baseline starts past the two
+    // terminals, which are storage, not created nodes), plus any growth
+    // collect()/reset() banked before shrinking the arena.
     std::uint64_t created = obs_tally_.nodes_created;
     if (nodes_.size() > obs_nodes_flushed_) {
         created += nodes_.size() - obs_nodes_flushed_;

@@ -31,11 +31,15 @@
 // once (SoA layout, one node visit per k lanes) — the kernel behind the
 // engine's rate-only candidate batching.
 //
-// Managers may also live across many queries (see PersistentBddCompiler
-// in from_fault_tree.h): ensure_variables() widens the variable order,
-// pin()/collect() implement a mark-and-compact garbage collection that
-// renumbers live nodes while preserving the children-precede-parents
-// arena invariant.  See docs/bdd.md for the lifecycle contract.
+// Managers may also be reused across many queries: reset() empties the
+// arena and the tables in O(initial table size) — never O(largest table
+// ever grown) — which is how bdd::ModuleEvaluator (from_fault_tree.h)
+// gives every engine worker one workspace for all its module
+// evaluations.  Long-lived managers that keep diagrams instead can widen
+// the variable order (ensure_variables()) and bound their arena with
+// pin()/collect(), a mark-and-compact garbage collection that renumbers
+// live nodes while preserving the children-precede-parents arena
+// invariant.  See docs/bdd.md for the lifecycle contract.
 //
 // A manager is NOT thread-safe; concurrent evaluation uses one manager
 // per worker (see engine/), which keeps the apply hot path lock-free.
@@ -91,9 +95,19 @@ public:
 
     /// Widens the variable order to at least `count` variables (new
     /// variables sort after every existing one, so existing diagrams are
-    /// untouched).  Persistent managers compile trees of varying sizes;
+    /// untouched).  Long-lived managers compile trees of varying sizes;
     /// a fresh-per-tree manager never needs this.
     void ensure_variables(std::uint32_t count);
+
+    /// Empties the manager for a new diagram over `variable_count`
+    /// variables: afterwards it behaves exactly like a freshly
+    /// constructed BddManager(variable_count) — same node numbering, same
+    /// size(), same results — except that it keeps its buffers.  Costs
+    /// O(initial table capacity + pins): tables grown past their initial
+    /// capacity are cut back to it (their buffers stay allocated), so a
+    /// large diagram never makes later small resets pay for its tables.
+    /// Every BddRef and pin ticket taken before the reset is invalid.
+    void reset(std::uint32_t variable_count);
 
     /// The BDD for a single variable: ITE(var, 1, 0).
     [[nodiscard]] BddRef variable(std::uint32_t var);
@@ -125,11 +139,17 @@ public:
     /// canonical diagram, so lane count, node numbering and sweep extent
     /// never change the doubles.  Every reachable variable must be
     /// < lanes[j].size(); unlike probability(), the lanes may be shorter
-    /// than variable_count() (persistent managers host many diagrams).
+    /// than variable_count() (long-lived managers host many diagrams).
     [[nodiscard]] std::vector<double> probability_batch(BddRef f,
                                                         std::span<const ProbVector> lanes) const;
+    /// The same sweep, writing lane j's probability to out[j]
+    /// (out.size() must equal lanes.size()).
+    void probability_batch(BddRef f, std::span<const ProbVector> lanes,
+                           std::span<double> out) const;
 
     /// Number of interior nodes reachable from `f` (terminals excluded).
+    /// Shares probability_batch()'s gather: right after a sweep of the
+    /// same root it costs O(1).
     [[nodiscard]] std::size_t node_count(BddRef f) const;
 
     // ---- Generational collection --------------------------------------
@@ -139,9 +159,9 @@ public:
     // indices, so collection renumbers every surviving node: any ref
     // held across a collect() MUST be registered with pin() and re-read
     // through pinned() afterwards.  Callers that instead key refs in
-    // external memo tables (the subtree compile memo) clear those tables
-    // at the safe point before collecting.  collect() must never run
-    // while an apply()/compile recursion is on the stack.
+    // external memo tables clear those tables at the safe point before
+    // collecting.  collect() must never run while an apply()/compile
+    // recursion is on the stack.
 
     /// Ticket for a root that must survive collect().
     using PinId = std::uint32_t;
@@ -248,6 +268,15 @@ private:
     [[nodiscard]] BddRef* apply_slot(ApplyCache& cache, std::uint64_t key);
     void apply_grow(ApplyCache& cache);
 
+    /// Gathers the interior nodes reachable from interior node `f` into
+    /// batch_refs_ in ascending (topological) ref order and their slots
+    /// into batch_pos_; reuses the previous gather while the diagram
+    /// under `f` cannot have changed.
+    void gather(BddRef f) const;
+    /// Moves arena growth not yet flushed into the tally before the arena
+    /// shrinks (collect(), reset()).
+    void bank_nodes_created() const;
+
     [[nodiscard]] std::uint32_t var_of(BddRef f) const noexcept {
         // Terminals sort after every variable.
         return f <= kTrue ? variable_count_ : nodes_[f].var;
@@ -287,11 +316,10 @@ private:
     mutable std::vector<double> batch_values_;
     mutable std::vector<double> batch_probs_;
     // The gathered order is reused while the diagram cannot have
-    // changed: same root, same GC generation, unchanged (append-only)
-    // arena size.  This is the persistent steady state — a memo-hit
-    // module swept for candidate after candidate without allocating.
+    // changed: same root and unchanged (append-only) arena size.
+    // collect() and reset() renumber or drop nodes, so they clear the
+    // cached root (kFalse is never gathered).
     mutable BddRef batch_cached_root_ = kFalse;
-    mutable std::uint64_t batch_cached_generation_ = 0;
     mutable std::size_t batch_cached_arena_ = 0;
     mutable std::uint32_t batch_cached_max_var_ = 0;
 
@@ -306,12 +334,13 @@ private:
         std::uint64_t apply_resizes = 0;
         std::uint64_t gc_collections = 0;
         std::uint64_t gc_nodes_freed = 0;
-        /// Arena growth banked by collect() (compaction moves the flush
+        /// Arena growth banked by collect()/reset() (both move the flush
         /// baseline, so growth-since-last-flush is captured here first).
         std::uint64_t nodes_created = 0;
     };
     mutable ObsTally obs_tally_;
-    mutable std::size_t obs_nodes_flushed_ = 0;  // arena size at last flush
+    // Arena size at the last flush; starts past the two terminals.
+    mutable std::size_t obs_nodes_flushed_ = 2;
 };
 
 }  // namespace asilkit::bdd

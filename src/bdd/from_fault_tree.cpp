@@ -1,14 +1,9 @@
 #include "bdd/from_fault_tree.h"
 
 #include <cmath>
-#include <deque>
 #include <functional>
-#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "core/hash.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace asilkit::bdd {
@@ -17,145 +12,8 @@ using ftree::FaultTree;
 using ftree::FtRef;
 using ftree::GateKind;
 
-namespace {
-
-// Subtree-memo key salts: keys mix gate kinds with the leaves' local
-// BDD variable indices, so the key space is disjoint by construction
-// from every other 64-bit key family in the codebase.
-constexpr std::uint64_t kMemoVarSalt = 0x766172696478ull;   // "varidx"
-constexpr std::uint64_t kMemoGateSalt = 0x6D656D6F67ull;    // "memog"
-
-/// "No variable" sentinel of the index-addressed lookup tables below.
-constexpr std::uint32_t kNoVar = 0xFFFFFFFFu;
-
-/// The paper's local variable order of one module: BFS from the module
-/// root, leaves (basic events and pseudo-variables) numbered in
-/// first-seen order.  Shared by the fresh-manager and the persistent
-/// evaluation paths so both run the identical ordering by construction.
-/// Lookup tables are index-addressed (kNoVar = absent): this runs once
-/// per module per candidate, and hash-map traffic dominated it.
-struct ModuleOrdering {
-    std::vector<std::uint32_t> var_of_event;   ///< by basic-event index
-    std::vector<std::uint32_t> var_of_pseudo;  ///< by gate index
-    struct Leaf {
-        bool pseudo = false;
-        /// Basic-event index, or (pseudo) position in mod.child_modules.
-        std::uint32_t index = 0;
-    };
-    std::vector<Leaf> leaves;  // in variable order
-    std::size_t real_events = 0;
-};
-
-ModuleOrdering module_ordering(const FaultTree& ft, const ftree::ModuleDecomposition& dec,
-                               const ftree::Module& mod) {
-    ModuleOrdering ord;
-    ord.var_of_event.assign(ft.basic_events().size(), kNoVar);
-    ord.var_of_pseudo.assign(ft.gates().size(), kNoVar);
-    std::vector<std::uint32_t> pseudo_pos(ft.gates().size(), kNoVar);  // gate -> child position
-    for (std::size_t i = 0; i < mod.child_modules.size(); ++i) {
-        pseudo_pos[dec.modules[mod.child_modules[i]].root.index] = static_cast<std::uint32_t>(i);
-    }
-    std::vector<char> seen_gates(ft.gates().size(), 0);
-    seen_gates[mod.root.index] = 1;
-    std::vector<FtRef> queue{mod.root};
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        const FtRef r = queue[head];
-        for (FtRef c : ft.gate(r.index).children) {
-            if (c.kind == FtRef::Kind::Basic) {
-                if (ord.var_of_event[c.index] == kNoVar) {
-                    ord.var_of_event[c.index] = static_cast<std::uint32_t>(ord.leaves.size());
-                    ord.leaves.push_back({false, c.index});
-                    ++ord.real_events;
-                }
-                continue;
-            }
-            if (pseudo_pos[c.index] != kNoVar) {
-                if (ord.var_of_pseudo[c.index] == kNoVar) {
-                    ord.var_of_pseudo[c.index] = static_cast<std::uint32_t>(ord.leaves.size());
-                    ord.leaves.push_back({true, pseudo_pos[c.index]});
-                }
-                continue;
-            }
-            if (seen_gates[c.index] == 0) {
-                seen_gates[c.index] = 1;
-                queue.push_back(c);
-            }
-        }
-    }
-    return ord;
-}
-
-/// Compiles `root` into `manager` with the persistent subtree memo:
-/// each gate is keyed by its structure over the leaves' variable
-/// indices (kind, ordered child keys; leaf key = variable index), and a
-/// key hit returns the memoised ref without touching the subtree.
-/// Sound by ROBDD canonicity — recompiling a structurally identical
-/// gate over the same variables returns the same ref — modulo 64-bit
-/// key collisions, the same exposure class as the engine's eval cache.
-/// `leaf_var(r)` returns the variable index for leaves (basic events
-/// and, in module regions, pseudo-variables), nullopt for gates.
-template <typename LeafVar>
-BddRef compile_with_memo(BddManager& manager, std::unordered_map<std::uint64_t, BddRef>& memo,
-                         const FaultTree& ft, FtRef root, LeafVar&& leaf_var,
-                         std::uint64_t& hits, std::uint64_t& misses) {
-    // Per-call DAG-sharing scratch, index-addressed by gate: on a full
-    // memo hit (the steady state of a rotating-variant sweep) the whole
-    // call is one key recursion + one memo lookup, so per-gate hash-map
-    // traffic here would dominate it.
-    const std::size_t ngates = ft.gates().size();
-    std::vector<std::uint64_t> gate_key(ngates, 0);
-    std::vector<char> gate_key_set(ngates, 0);
-    const auto key_of = [&](auto&& self, FtRef r) -> std::uint64_t {
-        if (const std::optional<std::uint32_t> v = leaf_var(r)) {
-            return hash::combine(kMemoVarSalt, *v);
-        }
-        if (gate_key_set[r.index] != 0) return gate_key[r.index];
-        const ftree::Gate& g = ft.gate(r.index);
-        std::uint64_t h = hash::combine(kMemoGateSalt, static_cast<std::uint64_t>(g.kind));
-        for (FtRef c : g.children) h = hash::combine(h, self(self, c));
-        gate_key[r.index] = h;
-        gate_key_set[r.index] = 1;
-        return h;
-    };
-    std::vector<BddRef> gate_done(ngates, kFalse);
-    std::vector<char> gate_done_set(ngates, 0);
-    const auto comp = [&](auto&& self, FtRef r) -> BddRef {
-        if (const std::optional<std::uint32_t> v = leaf_var(r)) return manager.variable(*v);
-        if (gate_done_set[r.index] != 0) return gate_done[r.index];
-        const std::uint64_t key = key_of(key_of, r);
-        if (const auto it = memo.find(key); it != memo.end()) {
-            ++hits;
-            gate_done[r.index] = it->second;
-            gate_done_set[r.index] = 1;
-            return it->second;
-        }
-        const ftree::Gate& g = ft.gate(r.index);
-        BddRef acc = kFalse;
-        bool first = true;
-        for (FtRef c : g.children) {
-            const BddRef cb = self(self, c);
-            if (first) {
-                acc = cb;
-                first = false;
-            } else {
-                acc = manager.apply(g.kind == GateKind::Or ? BddOp::Or : BddOp::And, acc, cb);
-            }
-        }
-        ++misses;
-        memo.emplace(key, acc);
-        gate_done[r.index] = acc;
-        gate_done_set[r.index] = 1;
-        return acc;
-    };
-    return comp(comp, root);
-}
-
-}  // namespace
-
 std::vector<std::uint32_t> ft_variable_order(const FaultTree& ft) {
-    // Index-addressed seen flags and a head-cursor queue: this BFS runs
-    // once per persistent compile, where it outweighs a full-memo-hit
-    // compilation itself.
+    // Index-addressed seen flags and a head-cursor queue.
     std::vector<std::uint32_t> order;
     std::vector<char> seen_events(ft.basic_events().size(), 0);
     std::vector<char> seen_gates(ft.gates().size(), 0);
@@ -239,142 +97,104 @@ ModuleEvalResult evaluate_module(const FaultTree& ft, const ftree::ModuleDecompo
                                  std::size_t module_index,
                                  std::span<const double> child_probabilities,
                                  double mission_hours) {
-    const obs::ObsSpan span("evaluate_module", "bdd", "module",
-                            static_cast<double>(module_index));
-    const ftree::Module& mod = dec.modules.at(module_index);
-    if (child_probabilities.size() != mod.child_modules.size()) {
-        throw AnalysisError("evaluate_module: child probability count mismatch");
-    }
-    ModuleEvalResult out;
-    if (mod.root.kind == FtRef::Kind::Basic) {
-        // Leaf module: the whole tree is one basic event.
-        out.probability = basic_event_probability(ft.basic_event(mod.root.index).lambda,
-                                                  mission_hours);
-        out.variables = 1;
-        out.bdd_nodes = 1;
-        out.bdd_total_nodes = 1;
-        return out;
-    }
-
-    // Local variable order: BFS from the module root, leaves (basic
-    // events and pseudo-variables) numbered in first-seen order —
-    // the paper's ordering restricted to the module.
-    const ModuleOrdering ord = module_ordering(ft, dec, mod);
-    std::vector<double> probs(ord.leaves.size());
-    for (std::size_t v = 0; v < ord.leaves.size(); ++v) {
-        const ModuleOrdering::Leaf& leaf = ord.leaves[v];
-        probs[v] = leaf.pseudo
-                       ? child_probabilities[leaf.index]
-                       : basic_event_probability(ft.basic_event(leaf.index).lambda, mission_hours);
-    }
-
-    BddManager manager(static_cast<std::uint32_t>(probs.size()));
-    std::unordered_map<std::uint32_t, BddRef> gate_memo;
-    std::function<BddRef(FtRef)> compile = [&](FtRef r) -> BddRef {
-        if (r.kind == FtRef::Kind::Basic) return manager.variable(ord.var_of_event[r.index]);
-        if (ord.var_of_pseudo[r.index] != kNoVar) {
-            return manager.variable(ord.var_of_pseudo[r.index]);
-        }
-        if (const auto it = gate_memo.find(r.index); it != gate_memo.end()) return it->second;
-        const ftree::Gate& g = ft.gate(r.index);
-        BddRef acc = kFalse;
-        bool first = true;
-        for (FtRef c : g.children) {
-            const BddRef cb = compile(c);
-            if (first) {
-                acc = cb;
-                first = false;
-            } else {
-                acc = manager.apply(g.kind == GateKind::Or ? BddOp::Or : BddOp::And, acc, cb);
-            }
-        }
-        gate_memo.emplace(r.index, acc);
-        return acc;
-    };
-    const BddRef root = compile(mod.root);
-    out.probability = manager.probability(root, probs);
-    out.bdd_nodes = manager.node_count(root);
-    out.bdd_total_nodes = manager.size();
-    out.variables = ord.real_events;
-    manager.flush_obs();
-    return out;
+    ModuleEvaluator evaluator;
+    return evaluator.evaluate_module(ft, dec, module_index, child_probabilities, mission_hours);
 }
 
 // ---------------------------------------------------------------------------
-// PersistentBddCompiler
+// ModuleEvaluator
 
-PersistentBddCompiler::PersistentBddCompiler(Options options)
-    : gc_threshold_(options.gc_node_threshold) {
-    manager_.set_gc_threshold(gc_threshold_);
+ModuleEvalResult ModuleEvaluator::evaluate_module(const FaultTree& ft,
+                                                  const ftree::ModuleDecomposition& dec,
+                                                  std::size_t module_index,
+                                                  std::span<const double> child_probabilities,
+                                                  double mission_hours) {
+    const FaultTree* const trees[1] = {&ft};
+    const std::span<const double> child_probs[1] = {child_probabilities};
+    ModuleEvalResult out[1];
+    evaluate(trees, dec, module_index, child_probs, mission_hours, out);
+    return out[0];
 }
 
-void PersistentBddCompiler::maybe_collect() {
-    if (!manager_.gc_due()) return;
-    // Safe point: the memo holds the compiler's only roots; drop it so
-    // the collection keeps just the callers' pinned diagrams.
-    memo_.clear();
-    manager_.collect();
-}
-
-void PersistentBddCompiler::flush_obs() {
-    auto& reg = obs::Registry::global();
-    if (memo_hits_ != flushed_hits_) {
-        reg.counter("bdd.subtree_memo_hits").add(memo_hits_ - flushed_hits_);
-        flushed_hits_ = memo_hits_;
-    }
-    if (memo_misses_ != flushed_misses_) {
-        reg.counter("bdd.subtree_memo_misses").add(memo_misses_ - flushed_misses_);
-        flushed_misses_ = memo_misses_;
-    }
-    manager_.flush_obs();
-}
-
-PersistentBddCompiler::CompileResult PersistentBddCompiler::compile(const FaultTree& ft) {
-    maybe_collect();
-    CompileResult out;
-    out.event_of_var = ft_variable_order(ft);
-    manager_.ensure_variables(static_cast<std::uint32_t>(out.event_of_var.size()));
-    std::vector<std::uint32_t> var_of_event(ft.basic_events().size(), kNoVar);
-    for (std::uint32_t v = 0; v < out.event_of_var.size(); ++v) {
-        var_of_event[out.event_of_var[v]] = v;
-    }
-    const std::size_t nodes_before = manager_.size();
-    out.root = compile_with_memo(
-        manager_, memo_, ft, ft.top(),
-        [&](FtRef r) -> std::optional<std::uint32_t> {
-            if (r.kind != FtRef::Kind::Basic) return std::nullopt;
-            return var_of_event[r.index];
-        },
-        memo_hits_, memo_misses_);
-    out.nodes_allocated = manager_.size() - nodes_before;
-    flush_obs();
+std::vector<ModuleEvalResult> ModuleEvaluator::evaluate_module_lanes(
+    std::span<const FaultTree* const> lane_trees, const ftree::ModuleDecomposition& dec,
+    std::size_t module_index, std::span<const std::span<const double>> lane_child_probabilities,
+    double mission_hours) {
+    std::vector<ModuleEvalResult> out(lane_trees.size());
+    evaluate(lane_trees, dec, module_index, lane_child_probabilities, mission_hours, out);
     return out;
 }
 
-std::vector<double> PersistentBddCompiler::variable_probabilities(
-    const FaultTree& ft, std::span<const std::uint32_t> event_of_var, double hours) {
-    std::vector<double> probs;
-    probs.reserve(event_of_var.size());
-    for (std::uint32_t event : event_of_var) {
-        probs.push_back(basic_event_probability(ft.basic_event(event).lambda, hours));
+void ModuleEvaluator::order(const FaultTree& ft, const ftree::ModuleDecomposition& dec,
+                            const ftree::Module& mod) {
+    if (++stamp_ == 0) {  // wrapped: no slot may carry a stale current stamp
+        for (GateSlot& s : gates_) s.stamp = 0;
+        for (EventSlot& s : events_) s.stamp = 0;
+        stamp_ = 1;
     }
-    return probs;
+    if (gates_.size() < ft.gates().size()) gates_.resize(ft.gates().size());
+    if (events_.size() < ft.basic_events().size()) events_.resize(ft.basic_events().size());
+    leaves_.clear();
+    real_events_ = 0;
+    for (std::size_t i = 0; i < mod.child_modules.size(); ++i) {
+        gate_slot(dec.modules[mod.child_modules[i]].root.index).pseudo =
+            static_cast<std::uint32_t>(i);
+    }
+    gate_slot(mod.root.index).queued = true;
+    queue_.assign(1, mod.root);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+        for (const FtRef c : ft.gate(queue_[head].index).children) {
+            if (c.kind == FtRef::Kind::Basic) {
+                EventSlot& e = events_[c.index];
+                if (e.stamp != stamp_) {
+                    e = EventSlot{stamp_, static_cast<std::uint32_t>(leaves_.size())};
+                    leaves_.push_back({false, c.index});
+                    ++real_events_;
+                }
+                continue;
+            }
+            GateSlot& g = gate_slot(c.index);
+            if (g.pseudo != kNone) {
+                if (g.var == kNone) {
+                    g.var = static_cast<std::uint32_t>(leaves_.size());
+                    leaves_.push_back({true, g.pseudo});
+                }
+                continue;
+            }
+            if (!g.queued) {
+                g.queued = true;
+                queue_.push_back(c);
+            }
+        }
+    }
 }
 
-ModuleEvalResult PersistentBddCompiler::evaluate_module(const FaultTree& ft,
-                                                        const ftree::ModuleDecomposition& dec,
-                                                        std::size_t module_index,
-                                                        std::span<const double> child_probabilities,
-                                                        double mission_hours) {
-    const FaultTree* trees[1] = {&ft};
-    const std::span<const double> child_probs[1] = {child_probabilities};
-    return evaluate_module_lanes(trees, dec, module_index, child_probs, mission_hours).front();
+BddRef ModuleEvaluator::compile(const FaultTree& ft, FtRef r) {
+    if (r.kind == FtRef::Kind::Basic) return manager_.variable(events_[r.index].var);
+    // Every gate reached here was stamped by order(): the region's
+    // interior gates and the nested-module roots that bound it.
+    GateSlot& slot = gates_[r.index];
+    if (slot.pseudo != kNone) return manager_.variable(slot.var);
+    if (slot.compiled) return slot.bdd;
+    const ftree::Gate& g = ft.gate(r.index);
+    const BddOp op = g.kind == GateKind::Or ? BddOp::Or : BddOp::And;
+    // A failure gate with no children has no failure mode: constant 0.
+    BddRef acc = kFalse;
+    bool first = true;
+    for (const FtRef c : g.children) {
+        const BddRef cb = compile(ft, c);
+        acc = first ? cb : manager_.apply(op, acc, cb);
+        first = false;
+    }
+    slot.compiled = true;
+    slot.bdd = acc;
+    return acc;
 }
 
-std::vector<ModuleEvalResult> PersistentBddCompiler::evaluate_module_lanes(
-    std::span<const ftree::FaultTree* const> lane_trees, const ftree::ModuleDecomposition& dec,
-    std::size_t module_index, std::span<const std::span<const double>> lane_child_probabilities,
-    double mission_hours) {
+void ModuleEvaluator::evaluate(std::span<const FaultTree* const> lane_trees,
+                               const ftree::ModuleDecomposition& dec, std::size_t module_index,
+                               std::span<const std::span<const double>> lane_child_probabilities,
+                               double mission_hours, std::span<ModuleEvalResult> out) {
     const std::size_t k = lane_trees.size();
     if (k == 0) throw AnalysisError("evaluate_module_lanes: no lanes");
     if (lane_child_probabilities.size() != k) {
@@ -383,10 +203,9 @@ std::vector<ModuleEvalResult> PersistentBddCompiler::evaluate_module_lanes(
     const ftree::Module& mod = dec.modules.at(module_index);
     for (std::size_t j = 0; j < k; ++j) {
         if (lane_child_probabilities[j].size() != mod.child_modules.size()) {
-            throw AnalysisError("evaluate_module_lanes: child probability count mismatch");
+            throw AnalysisError("evaluate_module: child probability count mismatch");
         }
     }
-    std::vector<ModuleEvalResult> out(k);
     if (mod.root.kind == FtRef::Kind::Basic) {
         // Leaf module: the whole tree is one basic event (per-lane rate).
         for (std::size_t j = 0; j < k; ++j) {
@@ -396,65 +215,42 @@ std::vector<ModuleEvalResult> PersistentBddCompiler::evaluate_module_lanes(
             out[j].bdd_nodes = 1;
             out[j].bdd_total_nodes = 1;
         }
-        return out;
+        return;
     }
 
     const obs::ObsSpan span("evaluate_module", "bdd", "module",
                             static_cast<double>(module_index));
-    maybe_collect();
     const FaultTree& rep = *lane_trees.front();
-    const ModuleOrdering ord = module_ordering(rep, dec, mod);
-    const std::uint32_t nvars = static_cast<std::uint32_t>(ord.leaves.size());
-    manager_.ensure_variables(nvars);
-
-    const std::size_t nodes_before = manager_.size();
-    const BddRef root = compile_with_memo(
-        manager_, memo_, rep, mod.root,
-        [&](FtRef r) -> std::optional<std::uint32_t> {
-            if (r.kind == FtRef::Kind::Basic) return ord.var_of_event[r.index];
-            if (const std::uint32_t v = ord.var_of_pseudo[r.index]; v != kNoVar) return v;
-            return std::nullopt;
-        },
-        memo_hits_, memo_misses_);
-    const std::size_t allocated = manager_.size() - nodes_before;
+    order(rep, dec, mod);
+    const std::size_t nvars = leaves_.size();
+    manager_.reset(static_cast<std::uint32_t>(nvars));
+    const BddRef root = compile(rep, mod.root);
 
     // One probability vector per lane, in the shared variable order:
     // shape-identical lanes differ only in rates (and pseudo-variable
     // probabilities), so event/child indices address every lane.
-    std::vector<ProbVector> lanes(k, ProbVector(nvars));
-    for (std::uint32_t v = 0; v < nvars; ++v) {
-        const ModuleOrdering::Leaf& leaf = ord.leaves[v];
-        if (leaf.pseudo) {
-            for (std::size_t j = 0; j < k; ++j) {
-                lanes[j][v] = lane_child_probabilities[j][leaf.index];
-            }
-        } else {
-            for (std::size_t j = 0; j < k; ++j) {
-                lanes[j][v] = basic_event_probability(
-                    lane_trees[j]->basic_event(leaf.index).lambda, mission_hours);
-            }
+    lanes_.resize(k);
+    for (std::size_t j = 0; j < k; ++j) {
+        ProbVector& lane = lanes_[j];
+        lane.resize(nvars);
+        for (std::size_t v = 0; v < nvars; ++v) {
+            const Leaf& leaf = leaves_[v];
+            lane[v] = leaf.pseudo ? lane_child_probabilities[j][leaf.index]
+                                  : basic_event_probability(
+                                        lane_trees[j]->basic_event(leaf.index).lambda,
+                                        mission_hours);
         }
     }
-    const std::vector<double> probabilities = manager_.probability_batch(root, lanes);
+    lane_out_.resize(k);
+    manager_.probability_batch(root, std::span<const ProbVector>(lanes_.data(), k), lane_out_);
     const std::size_t reachable = manager_.node_count(root);
     for (std::size_t j = 0; j < k; ++j) {
-        out[j].probability = probabilities[j];
+        out[j].probability = lane_out_[j];
         out[j].bdd_nodes = reachable;
-        out[j].bdd_total_nodes = allocated;
-        out[j].variables = ord.real_events;
+        out[j].bdd_total_nodes = manager_.size();
+        out[j].variables = real_events_;
     }
-    flush_obs();
-    return out;
-}
-
-PersistentBddCompiler::Stats PersistentBddCompiler::stats() const noexcept {
-    Stats s;
-    s.memo_hits = memo_hits_;
-    s.memo_misses = memo_misses_;
-    s.collections = manager_.gc_collections();
-    s.memo_entries = memo_.size();
-    s.manager_nodes = manager_.size();
-    return s;
+    manager_.flush_obs();
 }
 
 }  // namespace asilkit::bdd

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -60,7 +59,7 @@ struct CompiledFaultTree {
 struct ModuleEvalResult {
     double probability = 0.0;
     std::size_t bdd_nodes = 0;        ///< interior nodes reachable from the local root
-    std::size_t bdd_total_nodes = 0;  ///< all nodes the local manager allocated
+    std::size_t bdd_total_nodes = 0;  ///< interior nodes the evaluation created
     std::size_t variables = 0;        ///< real basic events in the local region
 };
 
@@ -71,73 +70,37 @@ struct ModuleEvalResult {
 /// variable order follows the paper within the module: breadth-first,
 /// left-to-right from the module root over basic events and
 /// pseudo-variables in first-seen order, so the evaluation is a pure
-/// function of the module's subtree (the cache-replay guarantee).
+/// function of the module's subtree (the cache-replay guarantee).  The
+/// engine-free reference: a call on a fresh ModuleEvaluator.
 [[nodiscard]] ModuleEvalResult evaluate_module(const ftree::FaultTree& ft,
                                                const ftree::ModuleDecomposition& dec,
                                                std::size_t module_index,
                                                std::span<const double> child_probabilities,
                                                double mission_hours);
 
-/// Long-lived compilation service over ONE persistent BddManager: every
-/// compiled diagram shares the manager's unique table, so a candidate
-/// that shares 90 % of its tree with an earlier one re-derives 90 % of
-/// its nodes as hash-cons lookups instead of fresh allocations — and a
-/// *subtree compile memo* short-circuits even those lookups: gates are
-/// keyed by their structure over the local BDD variable indices
-/// (rate-blind — the diagram is a function of variables only; rates
-/// enter at the probability sweep), and a key hit returns the root ref
-/// without walking the subtree at all.  ROBDD canonicity makes the memo
-/// sound: recompiling a structurally identical gate over the same
-/// variables must return the same ref (see docs/bdd.md).
+/// Reusable module-evaluation workspace: ONE BddManager, reset at the
+/// start of every module evaluation, plus the per-module scratch — the
+/// ordering tables, the per-gate compile slots and the lane probability
+/// vectors — kept across calls.  Gate and event slots are generation-
+/// stamped, so starting a module costs O(1) for the scratch and
+/// O(initial table size) for the manager (BddManager::reset), never
+/// O(tree) or O(largest module seen so far).
 ///
-/// The manager grows across candidates; at the gc_node_threshold high
-/// water the compiler reaches a safe point (entry of a compile /
-/// evaluate call, no refs live on any stack), clears the memo — its
-/// refs are the only roots the compiler retains — and runs a
-/// mark-and-compact collection.  Roots a *caller* wants to keep across
-/// collections must be pinned (BddManager::pin).
+/// An evaluation is a pure function of its arguments: a reused evaluator
+/// returns field for field what a fresh one returns (same ordering, same
+/// apply sequence, hence the same diagram, node numbering and
+/// probability bits) — the free evaluate_module() above is exactly a
+/// call on a fresh evaluator.
 ///
 /// Single-threaded by contract, like the manager it owns: the engine
-/// keeps one compiler per worker thread and never shares them.
-class PersistentBddCompiler {
+/// keeps one evaluator per worker thread and never shares them.
+class ModuleEvaluator {
 public:
-    struct Options {
-        /// Interior-node high water at which the next safe point clears
-        /// the memo and collects.  0 disables collection.
-        std::size_t gc_node_threshold = std::size_t{1} << 20;
-    };
+    ModuleEvaluator() = default;
+    ModuleEvaluator(const ModuleEvaluator&) = delete;
+    ModuleEvaluator& operator=(const ModuleEvaluator&) = delete;
 
-    PersistentBddCompiler() : PersistentBddCompiler(Options{}) {}
-    explicit PersistentBddCompiler(Options options);
-    PersistentBddCompiler(const PersistentBddCompiler&) = delete;
-    PersistentBddCompiler& operator=(const PersistentBddCompiler&) = delete;
-
-    [[nodiscard]] BddManager& manager() noexcept { return manager_; }
-
-    /// Whole-tree compilation in the paper's ordering, sharing the
-    /// persistent manager and the subtree memo.  `root` is valid until
-    /// the next safe point may collect (pin it to keep it longer);
-    /// `nodes_allocated` is the arena growth caused by this call (0 on
-    /// a full memo hit).
-    struct CompileResult {
-        BddRef root = kFalse;
-        std::vector<std::uint32_t> event_of_var;
-        std::size_t nodes_allocated = 0;
-    };
-    [[nodiscard]] CompileResult compile(const ftree::FaultTree& ft);
-
-    /// Per-variable probabilities for a compile(ft) result, aligned with
-    /// its event_of_var (same closed form as the fresh-manager path).
-    [[nodiscard]] static std::vector<double> variable_probabilities(
-        const ftree::FaultTree& ft, std::span<const std::uint32_t> event_of_var, double hours);
-
-    /// evaluate_module, persistent edition: same local variable order,
-    /// same per-node arithmetic, bitwise-identical probability — the
-    /// only differences are where the nodes live and that the
-    /// probability runs through the (k = 1) batch kernel.
-    /// `bdd_total_nodes` reports the arena growth caused by this call
-    /// (a full subtree-memo hit allocates nothing), where the fresh-
-    /// manager path reports its throwaway manager's size.
+    /// See the free evaluate_module().
     [[nodiscard]] ModuleEvalResult evaluate_module(const ftree::FaultTree& ft,
                                                    const ftree::ModuleDecomposition& dec,
                                                    std::size_t module_index,
@@ -157,31 +120,53 @@ public:
         const ftree::ModuleDecomposition& dec, std::size_t module_index,
         std::span<const std::span<const double>> lane_child_probabilities, double mission_hours);
 
-    struct Stats {
-        std::uint64_t memo_hits = 0;    ///< gates served by the subtree memo
-        std::uint64_t memo_misses = 0;  ///< gates compiled (and memoised)
-        std::uint64_t collections = 0;  ///< safe-point GCs triggered
-        std::size_t memo_entries = 0;
-        std::size_t manager_nodes = 0;
-    };
-    [[nodiscard]] Stats stats() const noexcept;
-
 private:
-    /// Safe point: no compiler-held refs are live outside the memo, so
-    /// when the manager is over threshold the memo is dropped and the
-    /// arena compacted.  Callers' pinned roots survive.
-    void maybe_collect();
-    /// Folds memo tallies into the obs registry ("bdd.subtree_memo_*")
-    /// and the manager's own tallies via flush_obs().
-    void flush_obs();
+    void evaluate(std::span<const ftree::FaultTree* const> lane_trees,
+                  const ftree::ModuleDecomposition& dec, std::size_t module_index,
+                  std::span<const std::span<const double>> lane_child_probabilities,
+                  double mission_hours, std::span<ModuleEvalResult> out);
+    /// Numbers the module's leaves in the paper's local order (BFS from
+    /// the module root, basic events and pseudo-variables in first-seen
+    /// order) into leaves_, stamping every slot it touches.
+    void order(const ftree::FaultTree& ft, const ftree::ModuleDecomposition& dec,
+               const ftree::Module& mod);
+    [[nodiscard]] BddRef compile(const ftree::FaultTree& ft, ftree::FtRef r);
+
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    /// Per-gate scratch; fields other than `stamp` are meaningful only
+    /// while stamp == stamp_ (the current module).
+    struct GateSlot {
+        std::uint32_t stamp = 0;
+        std::uint32_t pseudo = kNone;  ///< position in child_modules when a nested module root
+        std::uint32_t var = kNone;     ///< pseudo-variable index once numbered
+        bool queued = false;           ///< interior gate visited by the ordering BFS
+        bool compiled = false;
+        BddRef bdd = kFalse;
+    };
+    struct EventSlot {
+        std::uint32_t stamp = 0;
+        std::uint32_t var = kNone;
+    };
+    struct Leaf {
+        bool pseudo = false;
+        /// Basic-event index, or (pseudo) position in mod.child_modules.
+        std::uint32_t index = 0;
+    };
+    [[nodiscard]] GateSlot& gate_slot(std::uint32_t gate) {
+        GateSlot& s = gates_[gate];
+        if (s.stamp != stamp_) s = GateSlot{stamp_};
+        return s;
+    }
 
     BddManager manager_{0};
-    std::unordered_map<std::uint64_t, BddRef> memo_;
-    std::uint64_t memo_hits_ = 0;
-    std::uint64_t memo_misses_ = 0;
-    std::uint64_t flushed_hits_ = 0;
-    std::uint64_t flushed_misses_ = 0;
-    std::size_t gc_threshold_ = 0;
+    std::uint32_t stamp_ = 0;
+    std::vector<GateSlot> gates_;
+    std::vector<EventSlot> events_;
+    std::vector<ftree::FtRef> queue_;
+    std::vector<Leaf> leaves_;
+    std::size_t real_events_ = 0;
+    std::vector<ProbVector> lanes_;
+    std::vector<double> lane_out_;
 };
 
 }  // namespace asilkit::bdd

@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -81,6 +82,33 @@ Args parse_args(const std::vector<std::string>& argv) {
         }
     }
     return args;
+}
+
+/// A command-line option value the command refuses; run_cli reports it
+/// as a usage error (exit 2).
+class OptionError : public Error {
+public:
+    explicit OptionError(const std::string& what) : Error("invalid option: " + what) {}
+};
+
+/// The value of numeric option --`key`, or `fallback` when it is absent.
+/// Accepts exactly one finite, strictly positive number (durations,
+/// scale factors and probability floors); anything else — negative, zero,
+/// nan, inf, trailing text — throws OptionError.
+double positive_option(const Args& args, const std::string& key, double fallback) {
+    if (!args.has(key)) return fallback;
+    const std::string text = args.get(key);
+    double value = 0.0;
+    std::size_t used = 0;
+    try {
+        value = std::stod(text, &used);
+    } catch (const std::exception&) {
+        used = 0;
+    }
+    if (used == 0 || used != text.size() || !std::isfinite(value) || value <= 0.0) {
+        throw OptionError("--" + key + " expects a finite positive number, got '" + text + "'");
+    }
+    return value;
 }
 
 DecompositionStrategy parse_strategy(const std::string& text) {
@@ -175,7 +203,7 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::ProbabilityOptions options;
     options.approximate = args.has("approximate");
-    if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
+    options.mission_hours = positive_option(args, "hours", options.mission_hours);
     // The engine path, as every other scoring command takes it, so the
     // engine.* metrics (and watch rules on them) see this analysis.  One
     // model on the calling thread: no worker lanes, and the full-rebuild
@@ -211,12 +239,12 @@ int cmd_simulate(const Args& args, std::ostream& out) {
     analysis::SimulationOptions options;
     if (args.has("trials")) options.trials = std::stoull(args.get("trials"));
     if (args.has("seed")) options.seed = std::stoull(args.get("seed"));
-    if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
-    if (args.has("rate-scale")) options.rate_scale = std::stod(args.get("rate-scale"));
+    options.mission_hours = positive_option(args, "hours", options.mission_hours);
+    options.rate_scale = positive_option(args, "rate-scale", options.rate_scale);
     if (args.has("threads")) options.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
     if (args.has("block")) options.block_trials = std::stoull(args.get("block"));
     options.importance_sampling = args.has("is");
-    if (args.has("is-bias")) options.is_bias = std::stod(args.get("is-bias"));
+    options.is_bias = positive_option(args, "is-bias", options.is_bias);
     if (args.has("is-max-order")) {
         options.is_max_order = static_cast<std::size_t>(std::stoul(args.get("is-max-order")));
     }
@@ -310,7 +338,7 @@ int cmd_trace(const Args& args, std::ostream& out) {
 int cmd_fmea(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::FmeaOptions options;
-    if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
+    options.mission_hours = positive_option(args, "hours", options.mission_hours);
     for (const analysis::FmeaRow& row : analysis::fmea_report(m, options)) {
         out << "  " << row << "\n";
     }
@@ -404,7 +432,8 @@ int cmd_search(const Args& args, std::ostream& out) {
     explore::MappingSearchOptions options;
     options.metric = parse_metric(args.get("metric", "1"));
     options.probability.approximate = args.has("approximate");
-    if (args.has("hours")) options.probability.mission_hours = std::stod(args.get("hours"));
+    options.probability.mission_hours =
+        positive_option(args, "hours", options.probability.mission_hours);
     if (args.has("max-nodes")) {
         options.max_nodes_per_resource =
             static_cast<std::size_t>(std::stoul(args.get("max-nodes")));
@@ -543,7 +572,7 @@ int cmd_stats(const Args& args, std::ostream& out) {
         const ArchitectureModel m = io::load_model(args.positionals[1]);
         analysis::ProbabilityOptions options;
         options.approximate = args.has("approximate");
-        if (args.has("hours")) options.mission_hours = std::stod(args.get("hours"));
+        options.mission_hours = positive_option(args, "hours", options.mission_hours);
         engine::EngineOptions engine_options;
         if (args.has("threads")) {
             engine_options.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
@@ -766,6 +795,9 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
         const std::string& command = parsed.positionals.front();
         const ObsSession obs_session(parsed, err);
         return dispatch(command, parsed, out, err);
+    } catch (const OptionError& e) {
+        err << "error: " << e.what() << "\n";
+        return 2;
     } catch (const Error& e) {
         err << "error: " << e.what() << "\n";
         return 1;

@@ -43,11 +43,9 @@ EvalEngine::EvalEngine(const EngineOptions& options)
     : pool_(resolve_thread_count(options.threads)),
       cache_(options.cache_capacity),
       modularize_(options.modularize),
-      persistent_bdd_(options.persistent_bdd),
       batch_rate_variants_(options.batch_rate_variants),
       candidate_dedup_(options.candidate_dedup),
       incremental_ftree_(options.incremental_ftree),
-      bdd_gc_node_threshold_(options.bdd_gc_node_threshold),
       analyze_calls_(obs::Registry::global().counter("engine.analyze_calls")),
       tree_hits_(obs::Registry::global().counter("engine.tree_hits")),
       tree_misses_(obs::Registry::global().counter("engine.tree_misses")),
@@ -55,9 +53,6 @@ EvalEngine::EvalEngine(const EngineOptions& options)
       module_misses_(obs::Registry::global().counter("engine.module_misses")),
       lint_rejections_(obs::Registry::global().counter("engine.lint_rejections")),
       dedup_hits_(obs::Registry::global().counter("explore.dedup_hits")),
-      subtree_memo_hits_(obs::Registry::global().counter("bdd.subtree_memo_hits")),
-      subtree_memo_misses_(obs::Registry::global().counter("bdd.subtree_memo_misses")),
-      gc_collections_(obs::Registry::global().counter("bdd.gc.collections")),
       batch_groups_(obs::Registry::global().counter("engine.batch_groups")),
       batch_lanes_(obs::Registry::global().counter("engine.batch_lanes")),
       fragments_built_(obs::Registry::global().counter("ftree.fragment.built")),
@@ -70,9 +65,6 @@ EvalEngine::EvalEngine(const EngineOptions& options)
     base_.module_misses = module_misses_.value();
     base_.lint_rejections = lint_rejections_.value();
     base_.dedup_hits = dedup_hits_.value();
-    base_.subtree_memo_hits = subtree_memo_hits_.value();
-    base_.subtree_memo_misses = subtree_memo_misses_.value();
-    base_.gc_collections = gc_collections_.value();
     base_.batch_groups = batch_groups_.value();
     base_.batch_lanes = batch_lanes_.value();
     base_.fragments_built = fragments_built_.value();
@@ -90,9 +82,6 @@ EvalEngine::Stats EvalEngine::stats() const {
     s.module_misses = module_misses_.value() - base_.module_misses;
     s.lint_rejections = lint_rejections_.value() - base_.lint_rejections;
     s.dedup_hits = dedup_hits_.value() - base_.dedup_hits;
-    s.subtree_memo_hits = subtree_memo_hits_.value() - base_.subtree_memo_hits;
-    s.subtree_memo_misses = subtree_memo_misses_.value() - base_.subtree_memo_misses;
-    s.gc_collections = gc_collections_.value() - base_.gc_collections;
     s.batch_groups = batch_groups_.value() - base_.batch_groups;
     s.batch_lanes = batch_lanes_.value() - base_.batch_lanes;
     s.fragments_built = fragments_built_.value() - base_.fragments_built;
@@ -114,17 +103,12 @@ void EvalEngine::dedup_insert(std::uint64_t key, const EvalValue& value) {
     dedup_map_.emplace(key, value);
 }
 
-bdd::PersistentBddCompiler* EvalEngine::compiler_lane() {
-    if (!persistent_bdd_) return nullptr;
+bdd::ModuleEvaluator& EvalEngine::evaluator_lane() {
     const std::thread::id id = std::this_thread::get_id();
-    const core::MutexLock lock(compilers_mutex_);
-    std::unique_ptr<bdd::PersistentBddCompiler>& slot = compilers_[id];
-    if (slot == nullptr) {
-        bdd::PersistentBddCompiler::Options o;
-        o.gc_node_threshold = bdd_gc_node_threshold_;
-        slot = std::make_unique<bdd::PersistentBddCompiler>(o);
-    }
-    return slot.get();
+    const core::MutexLock lock(evaluators_mutex_);
+    std::unique_ptr<bdd::ModuleEvaluator>& slot = evaluators_[id];
+    if (slot == nullptr) slot = std::make_unique<bdd::ModuleEvaluator>();
+    return *slot;
 }
 
 ftree::IncrementalTreeBuilder* EvalEngine::ftree_lane() {
@@ -220,7 +204,7 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
             std::make_shared<const ftree::ModuleDecomposition>(ftree::find_modules(*p.canonical));
     }
     const ftree::ModuleDecomposition& dec = *dec_owned;
-    bdd::PersistentBddCompiler* const compiler = compiler_lane();
+    bdd::ModuleEvaluator& evaluator = evaluator_lane();
     std::vector<double> module_prob(dec.size());
     std::vector<double> child_probs;
     EvalValue total;
@@ -247,10 +231,7 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
             child_probs.push_back(module_prob[child]);
         }
         const bdd::ModuleEvalResult eval =
-            compiler != nullptr
-                ? compiler->evaluate_module(*p.canonical, dec, i, child_probs,
-                                            options.mission_hours)
-                : bdd::evaluate_module(*p.canonical, dec, i, child_probs, options.mission_hours);
+            evaluator.evaluate_module(*p.canonical, dec, i, child_probs, options.mission_hours);
         module_prob[i] = eval.probability;
         total.bdd_nodes += eval.bdd_nodes;
         total.bdd_total_nodes += eval.bdd_total_nodes;
@@ -299,7 +280,7 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
     }
     if (live.empty()) return;
     const std::size_t k = live.size();
-    bdd::PersistentBddCompiler* const compiler = compiler_lane();  // grouping implies persistence
+    bdd::ModuleEvaluator& evaluator = evaluator_lane();
 
     // find_modules boundaries and order are purely structural, so every
     // lane decomposes identically; the per-lane runs exist because
@@ -372,8 +353,8 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
             // One compilation + one SoA sweep for every lane of the
             // module; dec structure is lane-independent, so the first
             // lane's decomposition addresses them all.
-            evals = compiler->evaluate_module_lanes(trees, *decs.front(), i, child_spans,
-                                                    options.mission_hours);
+            evals = evaluator.evaluate_module_lanes(trees, *decs.front(), i, child_spans,
+                                                     options.mission_hours);
             for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
                 const std::size_t j = eval_lanes[idx];
                 const bdd::ModuleEvalResult& eval = evals[idx];
@@ -433,7 +414,7 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
     const analysis::ProbabilityOptions& options) {
     const obs::ObsSpan span("analyze_batch", "engine", "batch_size",
                             static_cast<double>(models.size()));
-    const bool group = batch_rate_variants_ && persistent_bdd_;
+    const bool group = batch_rate_variants_;
 
     // Phase A (parallel): model -> canonical tree and keys.  All cache
     // traffic waits for phase C, so the grouping below is a pure

@@ -19,11 +19,10 @@
 //     region of the tree replays every untouched module from cache and
 //     recompiles only the modules its basic events intersect
 //     (see eval_cache.h);
-//   * with `persistent_bdd` on, every worker thread keeps ONE long-lived
-//     BDD compilation service (bdd::PersistentBddCompiler): compiled
-//     subtrees persist across candidates behind a structural compile
-//     memo, and a mark-and-compact collection bounds the arena
-//     (see docs/bdd.md);
+//   * every worker thread keeps ONE module-evaluation workspace
+//     (bdd::ModuleEvaluator): a BddManager reset per module plus reused
+//     ordering and compile scratch, so a module miss allocates nothing
+//     in steady state (see docs/bdd.md);
 //   * analyze_batch additionally groups candidates whose canonical
 //     trees are shape-identical — rate-only variants, ubiquitous in
 //     sensitivity sweeps — and pushes each group's modules through the
@@ -73,22 +72,11 @@ struct EngineOptions {
     /// recompiled.  Off = whole-tree keying only (the PR-1 behaviour).
     /// Never changes results — evaluation is modular either way.
     bool modularize = true;
-    /// Keep one long-lived bdd::PersistentBddCompiler per worker thread
-    /// instead of a fresh throwaway BddManager per module: candidates
-    /// that share structure re-derive shared subtrees from the compile
-    /// memo instead of reallocating them.  Never changes probabilities —
-    /// only where the BDD nodes live (ProbabilityResult::bdd_total_nodes
-    /// becomes an allocation delta, see docs/bdd.md).
-    bool persistent_bdd = true;
-    /// Interior-node high water per persistent manager at which the next
-    /// compile safe point runs a mark-and-compact collection.
-    /// 0 disables collection.
-    std::size_t bdd_gc_node_threshold = std::size_t{1} << 20;
     /// In analyze_batch, group candidates whose canonical trees are
     /// shape-identical (rate-only variants) and evaluate each module for
     /// all lanes of a group in ONE compilation + ONE batched multi-lambda
     /// probability sweep.  Per-lane results are bitwise identical to
-    /// ungrouped evaluation.  Requires persistent_bdd.
+    /// ungrouped evaluation.
     bool batch_rate_variants = true;
     /// Generate fault trees through per-thread component-fragment
     /// builders (ftree::IncrementalTreeBuilder) instead of from scratch:
@@ -161,13 +149,6 @@ public:
         /// an LRU miss ("explore.dedup_hits"); a subset of tree_hits.
         /// Zero with candidate_dedup off or while the LRU never evicts.
         std::uint64_t dedup_hits = 0;
-        /// Persistent-compilation view (zero with persistent_bdd off):
-        /// gates served by / inserted into the per-thread subtree memos
-        /// ("bdd.subtree_memo_*") and safe-point collections the
-        /// persistent managers ran ("bdd.gc.collections").
-        std::uint64_t subtree_memo_hits = 0;
-        std::uint64_t subtree_memo_misses = 0;
-        std::uint64_t gc_collections = 0;
         /// Batched multi-lambda kernel view (zero with batching off):
         /// shape-identical groups analyze_batch formed and the lanes
         /// they carried ("engine.batch_groups" / "engine.batch_lanes").
@@ -215,14 +196,14 @@ private:
     void finish_group(std::span<PreparedModel* const> lanes,
                       const analysis::ProbabilityOptions& options);
 
-    /// The calling thread's persistent compiler (created on first use),
-    /// or nullptr with persistent_bdd off.  Each compiler is used by
-    /// exactly one thread; the mutex guards only the map.
-    [[nodiscard]] bdd::PersistentBddCompiler* compiler_lane();
+    /// The calling thread's module-evaluation workspace (created on first
+    /// use).  Each evaluator is used by exactly one thread; the mutex
+    /// guards only the map.
+    [[nodiscard]] bdd::ModuleEvaluator& evaluator_lane();
 
     /// The calling thread's incremental tree builder (created on first
     /// use), or nullptr with incremental_ftree off — same lane pattern
-    /// as compiler_lane().
+    /// as evaluator_lane().
     [[nodiscard]] ftree::IncrementalTreeBuilder* ftree_lane();
 
     /// Candidate memo lookup/insert; no-ops (nullopt) with the feature
@@ -234,20 +215,18 @@ private:
     ThreadPool pool_;
     EvalCache cache_;
     bool modularize_;
-    bool persistent_bdd_;
     bool batch_rate_variants_;
     bool candidate_dedup_;
     bool incremental_ftree_;
-    std::size_t bdd_gc_node_threshold_;
     core::Mutex dedup_mutex_;
     std::unordered_map<std::uint64_t, EvalValue> dedup_map_ GUARDED_BY(dedup_mutex_);
     // The lane maps are guarded; the lane OBJECTS the unique_ptrs own
     // are not — each is created once under the mutex and then used by
     // exactly one thread (its key), so pointees are thread-confined by
     // construction, not by locking.
-    core::Mutex compilers_mutex_;
-    std::unordered_map<std::thread::id, std::unique_ptr<bdd::PersistentBddCompiler>>
-        compilers_ GUARDED_BY(compilers_mutex_);
+    core::Mutex evaluators_mutex_;
+    std::unordered_map<std::thread::id, std::unique_ptr<bdd::ModuleEvaluator>>
+        evaluators_ GUARDED_BY(evaluators_mutex_);
     core::Mutex ftree_lanes_mutex_;
     std::unordered_map<std::thread::id, std::unique_ptr<ftree::IncrementalTreeBuilder>>
         ftree_lanes_ GUARDED_BY(ftree_lanes_mutex_);
@@ -262,9 +241,6 @@ private:
     obs::Counter& module_misses_;
     obs::Counter& lint_rejections_;
     obs::Counter& dedup_hits_;
-    obs::Counter& subtree_memo_hits_;
-    obs::Counter& subtree_memo_misses_;
-    obs::Counter& gc_collections_;
     obs::Counter& batch_groups_;
     obs::Counter& batch_lanes_;
     obs::Counter& fragments_built_;

@@ -154,6 +154,11 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
     // in place of re-enumerating it.
     std::optional<MergeBoundContext> bound_ctx;
 
+    // Trial-model slots, kept for the whole search: copy-assigning the
+    // current model into a slot reuses the slot's buffers, where a fresh
+    // copy per candidate would allocate every container again.
+    std::vector<ArchitectureModel> trials;
+
     for (; result.iterations < options.max_iterations; ++result.iterations) {
         const obs::ObsSpan iter_span("iteration", "explore", "iteration",
                                      static_cast<double>(result.iterations));
@@ -277,7 +282,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
         {
             const obs::ObsSpan evaluate_span("evaluate", "explore", "candidates",
                                              static_cast<double>(n));
-            std::vector<ArchitectureModel> trials(std::min(chunk_size, n));
+            if (trials.size() < std::min(chunk_size, n)) trials.resize(std::min(chunk_size, n));
             std::vector<const ArchitectureModel*> model_ptrs;
             while (pos < n) {
                 if (have_bounds && !beats(lower[order[pos]], order[pos])) break;
@@ -287,7 +292,8 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                 std::vector<Objective> scores(count);
                 engine.pool().parallel_for(count, [&](std::size_t t) {
                     const std::size_t idx = order[pos + t];
-                    ArchitectureModel trial = m;
+                    ArchitectureModel& trial = trials[t];
+                    trial = m;
                     apply_merge(trial, moves[idx].first, moves[idx].second);
                     if (options.lint_prefilter &&
                         lint::structural_error_count(trial) > baseline_errors) {
@@ -296,8 +302,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
                         return;
                     }
                     scores[t].cost = cost::total_cost(trial, options.metric);
-                    trials[t] = std::move(trial);
-                    model_ptrs[t] = &trials[t];
+                    model_ptrs[t] = &trial;
                 });
                 const std::vector<analysis::ProbabilityResult> batch =
                     engine.analyze_batch(model_ptrs, options.probability);

@@ -99,8 +99,8 @@ struct ComponentFragment {
 /// The incremental front half of candidate evaluation: model -> fragments
 /// -> assembled tree -> canonical form -> hashes -> modules, with a
 /// per-node fragment cache and a bounded composition memo.  One instance
-/// per engine worker thread (not thread-safe), mirroring the persistent
-/// BDD compiler lanes.
+/// per engine worker thread (not thread-safe), mirroring the per-thread
+/// BDD module workspaces.
 class IncrementalTreeBuilder {
 public:
     struct Options {

@@ -314,8 +314,8 @@ CanonicalTree canonicalize(const FaultTree& ft) {
     // lambda_override nudged per round) almost never reorders children,
     // and the perturbed variants canonicalise to *index-identical*
     // shapes.  That shape stability is what the engine's batched
-    // multi-lambda evaluation and the persistent compiler's subtree
-    // memo key on (see shape_hash()/identical_shape()).  Sorting by the
+    // multi-lambda evaluation keys on (see
+    // shape_hash()/identical_shape()).  Sorting by the
     // rate-inclusive hash alone would make every lambda nudge reshuffle
     // siblings into an unrelated order.
     struct HashPair {

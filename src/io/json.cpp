@@ -1,7 +1,9 @@
 #include "io/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <sstream>
 
@@ -221,8 +223,7 @@ private:
                 ++col;
             }
         }
-        throw IoError("json parse error at line " + std::to_string(line) + ", column " +
-                      std::to_string(col) + ": " + what);
+        throw JsonParseError(what, pos_, line, col);
     }
 
     void skip_ws() {
@@ -262,12 +263,79 @@ private:
         return false;
     }
 
+    /// Arrays and objects are parsed with an explicit stack of open
+    /// containers, so nesting costs heap, not call stack: a hostile
+    /// document is refused at Json::kMaxParseDepth instead of
+    /// overflowing the stack.  Values are built in place: each open
+    /// container is the last element of its parent, which grows only
+    /// after the container closes, so the pointers stay valid.
     Json parse_value() {
+        Json root;
+        std::vector<Json*> open;  // innermost last
+        Json* slot = &root;       // where the next value goes
+        for (;;) {
+            skip_ws();
+            const char c = peek();
+            if (c == '[' || c == '{') {
+                if (open.size() == Json::kMaxParseDepth) {
+                    fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth) +
+                         " levels");
+                }
+                ++pos_;
+                *slot = c == '[' ? Json::array() : Json::object();
+                skip_ws();
+                if (peek() != (c == '[' ? ']' : '}')) {
+                    open.push_back(slot);
+                    slot = next_slot(*slot);
+                    continue;
+                }
+                ++pos_;
+            } else {
+                *slot = parse_scalar();
+            }
+            // *slot is complete: close every container that ends here.
+            for (;;) {
+                if (open.empty()) return root;
+                Json& container = *open.back();
+                const bool is_array = container.is_array();
+                skip_ws();
+                const char sep = next();
+                if (sep == ',') {
+                    slot = next_slot(container);
+                    break;
+                }
+                if (sep != (is_array ? ']' : '}')) {
+                    --pos_;
+                    fail(is_array ? "expected ',' or ']' in array"
+                                  : "expected ',' or '}' in object");
+                }
+                open.pop_back();
+            }
+        }
+    }
+
+    /// The slot of the next element of an open container: a new array
+    /// element, or — after parsing `"key":` — a new object member.  A
+    /// repeated key keeps its first value; the repeat is parsed into a
+    /// discarded slot.
+    Json* next_slot(Json& container) {
+        if (container.is_array()) {
+            JsonArray& elements = container.as_array();
+            elements.emplace_back();
+            return &elements.back();
+        }
         skip_ws();
-        const char c = peek();
-        switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+        if (peek() != '"') fail("expected object key");
+        std::string key = parse_string();
+        skip_ws();
+        expect(':');
+        const auto [it, inserted] = container.as_object().emplace(std::move(key), Json());
+        if (inserted) return &it->second;
+        return &discarded_.emplace_back();
+    }
+
+    Json parse_scalar() {
+        switch (peek()) {
             case '"': return Json(parse_string());
             case 't':
                 if (consume_literal("true")) return Json(true);
@@ -282,55 +350,18 @@ private:
         }
     }
 
-    Json parse_object() {
-        expect('{');
-        JsonObject obj;
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return Json(std::move(obj));
-        }
-        for (;;) {
-            skip_ws();
-            if (peek() != '"') fail("expected object key");
-            std::string key = parse_string();
-            skip_ws();
-            expect(':');
-            obj.emplace(std::move(key), parse_value());
-            skip_ws();
-            const char c = next();
-            if (c == '}') return Json(std::move(obj));
-            if (c != ',') {
-                --pos_;
-                fail("expected ',' or '}' in object");
-            }
-        }
-    }
-
-    Json parse_array() {
-        expect('[');
-        JsonArray arr;
-        skip_ws();
-        if (peek() == ']') {
-            ++pos_;
-            return Json(std::move(arr));
-        }
-        for (;;) {
-            arr.push_back(parse_value());
-            skip_ws();
-            const char c = next();
-            if (c == ']') return Json(std::move(arr));
-            if (c != ',') {
-                --pos_;
-                fail("expected ',' or ']' in array");
-            }
-        }
-    }
-
     std::string parse_string() {
         expect('"');
         std::string out;
         for (;;) {
+            // Copy the run up to the next quote, escape or control
+            // character in one append.
+            const std::size_t run_start = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
+                   static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+                ++pos_;
+            }
+            out.append(text_.data() + run_start, pos_ - run_start);
             const char c = next();
             if (c == '"') return out;
             if (c == '\\') {
@@ -442,16 +473,15 @@ private:
             }
             while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
         }
-        const std::string token(text_.substr(start, pos_ - start));
-        try {
-            return Json(std::stod(token));
-        } catch (const std::exception&) {
-            fail("number out of range");
-        }
+        double value = 0.0;
+        const auto [end, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, value);
+        if (ec != std::errc{} || end != text_.data() + pos_) fail("number out of range");
+        return Json(value);
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::deque<Json> discarded_;  // values of repeated object keys (stable addresses)
 };
 
 }  // namespace
@@ -461,9 +491,9 @@ Json Json::parse(std::string_view text) { return Parser(text).parse_document(); 
 Json load_json_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw IoError("cannot open '" + path + "' for reading");
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return Json::parse(ss.str());
+    std::ostringstream text;
+    text << in.rdbuf();
+    return Json::parse(text.view());
 }
 
 void save_json_file(const Json& value, const std::string& path) {

@@ -22,6 +22,29 @@ namespace asilkit::io {
 
 class Json;
 
+/// Malformed JSON text.  Carries the byte offset of the offending
+/// character (0-based) with its 1-based line and column, so callers can
+/// point at the input without parsing the message.
+class JsonParseError : public IoError {
+public:
+    JsonParseError(const std::string& what, std::size_t offset, std::size_t line,
+                   std::size_t column)
+        : IoError("json parse error at line " + std::to_string(line) + ", column " +
+                  std::to_string(column) + " (byte " + std::to_string(offset) + "): " + what),
+          offset_(offset),
+          line_(line),
+          column_(column) {}
+
+    [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
+    [[nodiscard]] std::size_t line() const noexcept { return line_; }
+    [[nodiscard]] std::size_t column() const noexcept { return column_; }
+
+private:
+    std::size_t offset_;
+    std::size_t line_;
+    std::size_t column_;
+};
+
 using JsonArray = std::vector<Json>;
 /// std::map keeps keys ordered: serialization is deterministic.
 using JsonObject = std::map<std::string, Json>;
@@ -81,8 +104,15 @@ public:
     /// Serialize; indent < 0 -> compact single-line.
     [[nodiscard]] std::string dump(int indent = -1) const;
 
-    /// Strict parse of a complete document.  Throws IoError with
-    /// line/column context on malformed input.
+    /// Arrays and objects nested deeper than this are refused.  parse()
+    /// itself keeps open containers on the heap, but destroying,
+    /// comparing and dumping a Json recurse once per level, so accepted
+    /// documents stay shallow enough for any thread's stack.
+    static constexpr std::size_t kMaxParseDepth = 2048;
+
+    /// Strict parse of a complete document.  Throws JsonParseError (an
+    /// IoError) with byte offset and line/column on malformed input,
+    /// including nesting deeper than kMaxParseDepth.
     [[nodiscard]] static Json parse(std::string_view text);
 
     friend bool operator==(const Json&, const Json&) = default;

@@ -1,14 +1,16 @@
-// Persistent-manager tests: mark-and-compact collection (pin contract,
+// Long-lived manager tests: mark-and-compact collection (pin contract,
 // unique-table rebuild, memo invalidation), the batched multi-lambda
 // probability kernel (bitwise vs sequential, property vs brute force),
-// the forced-collision regression for the probability memo, and the
-// PersistentBddCompiler subtree memo.
+// the forced-collision regression for the probability memo, reset(), and
+// the reused ModuleEvaluator workspace against fresh evaluations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -16,13 +18,14 @@
 #include "ftree/fault_tree.h"
 #include "ftree/modules.h"
 #include "helpers.h"
+#include "scenarios/synthetic.h"
 
 namespace asilkit::bdd {
 namespace {
 
 /// The same tree with every failure rate scaled: shape-identical by
 /// construction (indices preserved), rates free — the "rate-only
-/// candidate variant" the persistent compiler is built for.
+/// candidate variant" the batched kernel is built for.
 ftree::FaultTree scale_rates(const ftree::FaultTree& ft, double factor) {
     ftree::FaultTree out;
     for (const ftree::BasicEvent& b : ft.basic_events()) {
@@ -255,70 +258,87 @@ TEST(ProbabilityMemo, SurvivesForcedFingerprintCollision) {
     EXPECT_EQ(mgr.probability(f, va), 0.25);
 }
 
-// ---- PersistentBddCompiler --------------------------------------------------
+// ---- ModuleEvaluator ---------------------------------------------------------
 
-TEST(PersistentCompiler, RateVariantsHitSubtreeMemo) {
-    const ftree::FaultTree ft = testing::random_fault_tree(7, 10, 6);
-    PersistentBddCompiler comp;
-    const PersistentBddCompiler::CompileResult first = comp.compile(ft);
-    EXPECT_GT(first.nodes_allocated, 0u);
-    const PersistentBddCompiler::Stats s1 = comp.stats();
-    EXPECT_EQ(s1.memo_hits, 0u);
-    EXPECT_GT(s1.memo_misses, 0u);
-
-    // A rate-only variant is a 100 % memo hit: same diagram, same root,
-    // zero allocation — the memo keys are rate-blind.
-    const PersistentBddCompiler::CompileResult second = comp.compile(scale_rates(ft, 1.5));
-    EXPECT_EQ(second.root, first.root);
-    EXPECT_EQ(second.event_of_var, first.event_of_var);
-    EXPECT_EQ(second.nodes_allocated, 0u);
-    const PersistentBddCompiler::Stats s2 = comp.stats();
-    EXPECT_GT(s2.memo_hits, s1.memo_hits);
-    EXPECT_EQ(s2.memo_misses, s1.memo_misses);
-}
-
-TEST(PersistentCompiler, CompileMatchesFreshManagerBitwise) {
-    PersistentBddCompiler comp;
-    for (std::uint32_t seed = 0; seed < 10; ++seed) {
-        const ftree::FaultTree ft = testing::random_fault_tree(seed, 4 + seed % 8, 2 + seed % 5);
-        const PersistentBddCompiler::CompileResult res = comp.compile(ft);
-        const std::vector<ProbVector> lanes{
-            PersistentBddCompiler::variable_probabilities(ft, res.event_of_var, 1.0)};
-        const double persistent = comp.manager().probability_batch(res.root, lanes).front();
-
-        const CompiledFaultTree fresh = compile_fault_tree(ft);
-        const double reference =
-            fresh.manager.probability(fresh.root, fresh.variable_probabilities(ft, 1.0));
-        EXPECT_EQ(persistent, reference) << "seed " << seed;
+/// Module-by-module evaluation of `ft` through `eval` (bottom-up, child
+/// probabilities from the evaluator's own results).
+std::vector<ModuleEvalResult> evaluate_all(ModuleEvaluator& eval, const ftree::FaultTree& ft,
+                                           const ftree::ModuleDecomposition& dec) {
+    std::vector<ModuleEvalResult> out(dec.size());
+    std::vector<double> child_probs;
+    for (std::size_t i = 0; i < dec.size(); ++i) {
+        child_probs.clear();
+        for (const std::uint32_t child : dec.modules[i].child_modules) {
+            child_probs.push_back(out[child].probability);
+        }
+        out[i] = eval.evaluate_module(ft, dec, i, child_probs, 1.0);
     }
+    return out;
 }
 
-TEST(PersistentCompiler, ModuleEvaluationMatchesFreshBitwise) {
-    PersistentBddCompiler comp;
+void expect_same(const ModuleEvalResult& reused, const ModuleEvalResult& fresh) {
+    EXPECT_EQ(reused.probability, fresh.probability);  // bitwise
+    EXPECT_EQ(reused.bdd_nodes, fresh.bdd_nodes);
+    EXPECT_EQ(reused.bdd_total_nodes, fresh.bdd_total_nodes);
+    EXPECT_EQ(reused.variables, fresh.variables);
+}
+
+TEST(ModuleEvaluator, ReusedWorkspaceMatchesFreshBitwise) {
+    // One evaluator across trees of varying sizes: every module result
+    // must equal the fresh-manager reference field for field.
+    ModuleEvaluator reused;
     for (std::uint32_t seed = 0; seed < 8; ++seed) {
         const ftree::FaultTree ft =
             ftree::canonical_form(testing::random_fault_tree(seed, 6 + seed % 6, 3 + seed % 4));
         const ftree::ModuleDecomposition dec = ftree::find_modules(ft);
-        std::vector<double> module_prob(dec.size());
-        std::vector<double> child_probs;
+        const std::vector<ModuleEvalResult> results = evaluate_all(reused, ft, dec);
         for (std::size_t i = 0; i < dec.size(); ++i) {
-            child_probs.clear();
+            std::vector<double> child_probs;
             for (const std::uint32_t child : dec.modules[i].child_modules) {
-                child_probs.push_back(module_prob[child]);
+                child_probs.push_back(results[child].probability);
             }
-            const ModuleEvalResult fresh = evaluate_module(ft, dec, i, child_probs, 1.0);
-            const ModuleEvalResult persistent =
-                comp.evaluate_module(ft, dec, i, child_probs, 1.0);
-            EXPECT_EQ(persistent.probability, fresh.probability)
-                << "seed " << seed << " module " << i;
-            EXPECT_EQ(persistent.bdd_nodes, fresh.bdd_nodes);
-            EXPECT_EQ(persistent.variables, fresh.variables);
-            module_prob[i] = fresh.probability;
+            SCOPED_TRACE("seed " + std::to_string(seed) + " module " + std::to_string(i));
+            expect_same(results[i], evaluate_module(ft, dec, i, child_probs, 1.0));
         }
     }
 }
 
-TEST(PersistentCompiler, LanesMatchPerLaneEvaluationBitwise) {
+TEST(ModuleEvaluator, LargeModuleThenSmallMatchesFresh) {
+    // A large module grows the manager's tables and the scratch well past
+    // their initial size; the small modules evaluated afterwards must not
+    // see any of it — results identical to fresh evaluations.
+    scenarios::SyntheticTreeOptions big_options;
+    big_options.seed = 3;
+    big_options.events = 400;
+    big_options.gates = 300;
+    const ftree::FaultTree big =
+        ftree::canonical_form(scenarios::synthetic_fault_tree(big_options));
+    const ftree::ModuleDecomposition big_dec = ftree::find_modules(big);
+
+    ModuleEvaluator reused;
+    const std::vector<ModuleEvalResult> big_results = evaluate_all(reused, big, big_dec);
+    std::size_t largest = 0;
+    for (const ModuleEvalResult& r : big_results) largest = std::max(largest, r.bdd_total_nodes);
+    ASSERT_GT(largest, std::size_t{1} << 10) << "the large module must outgrow the initial tables";
+
+    for (std::uint32_t seed = 0; seed < 12; ++seed) {
+        const ftree::FaultTree ft = ftree::canonical_form(
+            testing::random_fault_tree(100 + seed, 4 + seed % 5, 2 + seed % 3));
+        const ftree::ModuleDecomposition dec = ftree::find_modules(ft);
+        ModuleEvaluator fresh;
+        const std::vector<ModuleEvalResult> expected = evaluate_all(fresh, ft, dec);
+        const std::vector<ModuleEvalResult> actual = evaluate_all(reused, ft, dec);
+        for (std::size_t i = 0; i < dec.size(); ++i) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " module " + std::to_string(i));
+            expect_same(actual[i], expected[i]);
+        }
+    }
+    // And the large tree again, after the small ones.
+    const std::vector<ModuleEvalResult> again = evaluate_all(reused, big, big_dec);
+    for (std::size_t i = 0; i < big_dec.size(); ++i) expect_same(again[i], big_results[i]);
+}
+
+TEST(ModuleEvaluator, LanesMatchPerLaneEvaluationBitwise) {
     const ftree::FaultTree base = testing::random_fault_tree(11, 8, 5);
     const double factors[] = {1.0, 1.25, 1.5, 2.0};
     std::vector<ftree::FaultTree> canon;
@@ -334,7 +354,7 @@ TEST(PersistentCompiler, LanesMatchPerLaneEvaluationBitwise) {
     for (const ftree::FaultTree& ft : canon) decs.push_back(ftree::find_modules(ft));
     const std::size_t nmodules = decs.front().size();
 
-    PersistentBddCompiler comp;
+    ModuleEvaluator evaluator;
     std::vector<std::vector<double>> batched(k, std::vector<double>(nmodules));
     std::vector<std::vector<double>> reference(k, std::vector<double>(nmodules));
     std::vector<const ftree::FaultTree*> trees;
@@ -349,7 +369,7 @@ TEST(PersistentCompiler, LanesMatchPerLaneEvaluationBitwise) {
             spans.emplace_back(child_probs[j]);
         }
         const std::vector<ModuleEvalResult> lanes =
-            comp.evaluate_module_lanes(trees, decs.front(), i, spans, 1.0);
+            evaluator.evaluate_module_lanes(trees, decs.front(), i, spans, 1.0);
         ASSERT_EQ(lanes.size(), k);
         for (std::size_t j = 0; j < k; ++j) {
             batched[j][i] = lanes[j].probability;
@@ -360,26 +380,41 @@ TEST(PersistentCompiler, LanesMatchPerLaneEvaluationBitwise) {
             const ModuleEvalResult ref =
                 evaluate_module(canon[j], decs[j], i, ref_children, 1.0);
             reference[j][i] = ref.probability;
-            EXPECT_EQ(batched[j][i], reference[j][i]) << "module " << i << " lane " << j;
+            SCOPED_TRACE("module " + std::to_string(i) + " lane " + std::to_string(j));
+            expect_same(lanes[j], ref);
         }
     }
 }
 
-TEST(PersistentCompiler, CollectionsDoNotChangeResults) {
-    PersistentBddCompiler tiny({.gc_node_threshold = 32});
-    PersistentBddCompiler big;  // default threshold: never reached here
-    for (std::uint32_t seed = 0; seed < 20; ++seed) {
-        const ftree::FaultTree ft = testing::random_fault_tree(seed, 5 + seed % 9, 3 + seed % 5);
-        const PersistentBddCompiler::CompileResult rt = tiny.compile(ft);
-        const PersistentBddCompiler::CompileResult rb = big.compile(ft);
-        const std::vector<ProbVector> lanes{
-            PersistentBddCompiler::variable_probabilities(ft, rt.event_of_var, 1.0)};
-        EXPECT_EQ(tiny.manager().probability_batch(rt.root, lanes).front(),
-                  big.manager().probability_batch(rb.root, lanes).front())
-            << "seed " << seed;
+TEST(BddManagerReset, BehavesLikeAFreshManager) {
+    // reset() after a large diagram: the same construction sequence gives
+    // the same refs, the same size and the same probability as on a
+    // freshly constructed manager.
+    BddManager reused(40);
+    BddRef big = kFalse;
+    for (std::uint32_t v = 0; v + 1 < 40; v += 2) {
+        big = reused.apply_or(big, reused.apply_and(reused.variable(v), reused.variable(v + 1)));
     }
-    EXPECT_GT(tiny.stats().collections, 0u);
-    EXPECT_EQ(big.stats().collections, 0u);
+    (void)reused.pin(big);
+    ASSERT_GT(reused.size(), 20u);
+
+    const auto build = [](BddManager& m) {
+        return m.apply_or(m.apply_and(m.variable(0), m.variable(2)),
+                          m.apply_and(m.variable(1), m.variable(2)));
+    };
+    reused.reset(3);
+    BddManager fresh(3);
+    const BddRef r = build(reused);
+    const BddRef f = build(fresh);
+    EXPECT_EQ(reused.variable_count(), 3u);
+    EXPECT_EQ(r, f);
+    EXPECT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(reused.node_count(r), fresh.node_count(f));
+    const std::vector<double> p{0.1, 0.2, 0.3};
+    EXPECT_EQ(reused.probability(r, p), fresh.probability(f, p));
+    const std::vector<ProbVector> lanes{p};
+    EXPECT_EQ(reused.probability_batch(r, lanes), fresh.probability_batch(f, lanes));
+    EXPECT_THROW((void)reused.pinned(0), AnalysisError) << "reset drops every pin";
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/json.h"
 #include "io/model_json.h"
@@ -672,6 +674,49 @@ TEST_F(CliTest, SimulateNaiveEngineAndBadEngine) {
     const CliRun bad = run({"simulate", model(), "--engine", "warp"});
     EXPECT_EQ(bad.exit_code, 1);
     EXPECT_NE(bad.err.find("unknown engine"), std::string::npos);
+}
+
+TEST_F(CliTest, NumericOptionsRefuseNonPositiveAndNonFinite) {
+    // Each used to run and exit 0 (analyze --hours -5 printed a negative
+    // probability, --hours nan printed nan).
+    const std::vector<std::vector<std::string>> refused = {
+        {"analyze", model(), "--hours", "-5"},
+        {"analyze", model(), "--hours", "nan"},
+        {"analyze", model(), "--hours", "0"},
+        {"analyze", model(), "--hours", "inf"},
+        {"analyze", model(), "--hours", "2h"},
+        {"analyze", model(), "--hours", "1e999"},
+        {"simulate", model(), "--trials", "1000", "--rate-scale", "-1"},
+        {"simulate", model(), "--trials", "1000", "--hours", "-0.5"},
+        {"simulate", model(), "--trials", "1000", "--is", "--is-bias", "nan"},
+        {"fmea", model(), "--hours", "-1"},
+        {"search", model(), "--hours", "nan"},
+        {"stats", model(), "--hours", "-inf"},
+    };
+    for (const std::vector<std::string>& args : refused) {
+        const CliRun r = run(args);
+        const std::string what = args.front() + " " + args[args.size() - 2] + " " + args.back();
+        EXPECT_EQ(r.exit_code, 2) << what;
+        EXPECT_NE(r.err.find("invalid option: " + args[args.size() - 2]), std::string::npos)
+            << what << ": " << r.err;
+        EXPECT_EQ(r.out.find("P(system failure)"), std::string::npos) << what;
+    }
+    // Positive finite values in any spelling are accepted.
+    EXPECT_EQ(run({"analyze", model(), "--hours", "2.5e1"}).exit_code, 0);
+    EXPECT_EQ(run({"simulate", model(), "--trials", "1000", "--rate-scale", "10"}).exit_code, 0);
+}
+
+TEST_F(CliTest, DeeplyNestedModelIsRefusedWithoutCrashing) {
+    // 200 000 nested '[' used to overflow the parser's stack (exit 139).
+    const std::string path = temp_path("deep.json");
+    {
+        std::ofstream f(path);
+        f << std::string(200000, '[');
+    }
+    const CliRun r = run({"validate", path});
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("nesting deeper than"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("byte "), std::string::npos) << r.err;
 }
 
 TEST_F(CliTest, OptionNeedingValueAtEndFails) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "analysis/probability.h"
@@ -19,6 +21,7 @@
 #include "io/model_json.h"
 #include "scenarios/ecotwin.h"
 #include "scenarios/micro.h"
+#include "search_corpus.h"
 #include "transform/expand.h"
 
 namespace asilkit {
@@ -447,32 +450,28 @@ TEST(Modularize, UntouchedModulesReplayAcrossVariants) {
     EXPECT_EQ(after.module_hits, stats.module_hits);
 }
 
-// ---- persistent compilation & the batched multi-lambda kernel --------------
+// ---- the per-thread BDD workspace & the batched multi-lambda kernel ---------
 
 TEST(Persistence, ToggleNeverChangesSearchResults) {
-    // Persistent managers, the subtree compile memo and batch grouping
-    // only change where BDD nodes live and how often they are rebuilt —
-    // the whole search must be bitwise identical with everything off
-    // (fresh throwaway managers, the PR-1 behaviour) and everything on,
-    // at any thread count.
+    // The per-thread BDD workspace, the caches and batch grouping only
+    // change where BDD nodes live and how often modules are recompiled —
+    // the whole search must be bitwise identical with caching and
+    // grouping off and on, at any thread count.
     ArchitectureModel base = scenarios::chain_n_stages(3);
     for (const char* n : {"f1", "f2", "f3"}) transform::expand(base, base.find_app_node(n));
 
     ArchitectureModel off_model = base;
     explore::MappingSearchOptions off;
-    off.engine = {.threads = 1,
-                  .cache_capacity = 1 << 12,
-                  .persistent_bdd = false,
-                  .batch_rate_variants = false};
+    off.engine = {.threads = 1, .cache_capacity = 1 << 12, .batch_rate_variants = false};
     const auto r_off = explore::search_mapping(off_model, off);
 
     ArchitectureModel mid_model = base;
-    explore::MappingSearchOptions mid;  // persistent on, grouping off
+    explore::MappingSearchOptions mid;  // grouping off
     mid.engine = {.threads = 4, .cache_capacity = 1 << 12, .batch_rate_variants = false};
     const auto r_mid = explore::search_mapping(mid_model, mid);
 
     ArchitectureModel on_model = base;
-    explore::MappingSearchOptions on;  // defaults: persistent + batching
+    explore::MappingSearchOptions on;  // defaults: batching on
     on.engine = {.threads = 4, .cache_capacity = 1 << 12};
     engine::EvalEngine on_engine(on.engine);
     const auto r_on = explore::search_mapping(on_model, on, on_engine);
@@ -487,27 +486,28 @@ TEST(Persistence, ToggleNeverChangesSearchResults) {
     EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(mid_model).dump());
     EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(on_model).dump());
 
-    // The persistent run actually exercised the subtree memo.
-    const auto stats = on_engine.stats();
-    EXPECT_GT(stats.subtree_memo_misses, 0u);
-    EXPECT_GT(stats.subtree_memo_hits, 0u);
+    // Golden comparison: multi-threaded searches reproduce the digests
+    // recorded before the workspace replaced the persistent compiler.
+    const std::map<std::string, std::string> golden = testing::search_golden("search");
+    for (const testing::SearchCase& c : testing::search_corpus()) {
+        if (c.threads != 4 || c.label.rfind("ecotwin-expanded", 0) != 0) continue;
+        EXPECT_EQ(testing::search_digest_line(c), golden.at(c.label));
+    }
 }
 
 TEST(Persistence, ForcedCollectionsStillExact) {
-    // A pathologically small GC threshold forces mark-and-compact
-    // collections throughout the search; probabilities, the selected
-    // mapping and the final model must not move.
+    // No eval cache: every module of every candidate is compiled in the
+    // per-thread workspaces, which reset between modules of all sizes;
+    // probabilities, the selected mapping and the final model must match
+    // the single-threaded, ungrouped search.
     ArchitectureModel off_model = scenarios::chain_n_stages(5);
     explore::MappingSearchOptions off;
-    off.engine = {.threads = 1,
-                  .cache_capacity = 0,
-                  .persistent_bdd = false,
-                  .batch_rate_variants = false};
+    off.engine = {.threads = 1, .cache_capacity = 0, .batch_rate_variants = false};
     const auto r_off = explore::search_mapping(off_model, off);
 
     ArchitectureModel gc_model = scenarios::chain_n_stages(5);
     explore::MappingSearchOptions gc;
-    gc.engine = {.threads = 2, .cache_capacity = 0, .bdd_gc_node_threshold = 64};
+    gc.engine = {.threads = 2, .cache_capacity = 0};
     engine::EvalEngine gc_engine(gc.engine);
     const auto r_gc = explore::search_mapping(gc_model, gc, gc_engine);
 
@@ -515,16 +515,22 @@ TEST(Persistence, ForcedCollectionsStillExact) {
     EXPECT_EQ(r_off.cost_after, r_gc.cost_after);
     EXPECT_EQ(r_off.merges, r_gc.merges);
     EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(gc_model).dump());
-    EXPECT_GT(gc_engine.stats().gc_collections, 0u)
-        << "threshold 64 must trigger collections on this workload";
+
+    // Golden comparison: uncached single-threaded searches reproduce the
+    // digests recorded before the workspace replaced the persistent
+    // compiler.
+    const std::map<std::string, std::string> golden = testing::search_golden("search");
+    for (const testing::SearchCase& c : testing::search_corpus()) {
+        if (c.label.rfind("longitudinal", 0) != 0 || c.threads != 1) continue;
+        EXPECT_EQ(testing::search_digest_line(c), golden.at(c.label));
+    }
 }
 
 TEST(BatchRateVariants, GroupsLanesAndMatchesSoloAnalysis) {
     // Rate-only variants of one architecture: identical canonical shape,
     // distinct tree keys.  analyze_batch must collapse them onto one
     // shape group, push the modules through the multi-lambda kernel, and
-    // reproduce the solo (fresh-manager, ungrouped) probabilities
-    // bitwise.
+    // reproduce the solo (ungrouped) probabilities bitwise.
     const ArchitectureModel base = scenarios::chain_n_stages(4);
     std::vector<ArchitectureModel> variants;
     for (int v = 0; v < 4; ++v) {
@@ -538,7 +544,6 @@ TEST(BatchRateVariants, GroupsLanesAndMatchesSoloAnalysis) {
 
     engine::EvalEngine solo({.threads = 1,
                              .cache_capacity = 0,
-                             .persistent_bdd = false,
                              .batch_rate_variants = false});
     std::vector<double> expected;
     expected.reserve(variants.size());
@@ -565,10 +570,7 @@ TEST(ExplorationPersistence, CurveIdenticalWithPersistenceOff) {
     explore::ExplorationOptions off;
     off.rng_seed = 1234;
     off.probability.approximate = true;
-    off.engine = {.threads = 1,
-                  .cache_capacity = 0,
-                  .persistent_bdd = false,
-                  .batch_rate_variants = false};
+    off.engine = {.threads = 1, .cache_capacity = 0, .batch_rate_variants = false};
 
     explore::ExplorationOptions on = off;
     on.engine = {.threads = 4, .cache_capacity = 1 << 12};

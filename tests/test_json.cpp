@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace asilkit::io {
 namespace {
 
@@ -74,6 +76,10 @@ TEST(Json, ParseNested) {
     EXPECT_EQ(v.at("a").size(), 3u);
     EXPECT_TRUE(v.at("a").as_array()[2].at("b").is_null());
     EXPECT_TRUE(v.at("c").at("d").as_bool());
+    // A repeated key keeps its first value, even when the repeat nests.
+    const Json dup = Json::parse(R"({"k": 1, "k": {"x": [2, {"y": 3}]}, "z": [4]})");
+    EXPECT_EQ(dup.at("k").as_number(), 1.0);
+    EXPECT_EQ(dup.at("z").as_array()[0].as_number(), 4.0);
 }
 
 TEST(Json, ParseWhitespaceTolerant) {
@@ -98,6 +104,39 @@ TEST(Json, ParseErrorsCarryPosition) {
     } catch (const IoError& e) {
         EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
     }
+}
+
+TEST(Json, ParseErrorsAreTypedWithByteOffset) {
+    try {
+        (void)Json::parse("[1, 2,\n x]");
+        FAIL() << "expected JsonParseError";
+    } catch (const JsonParseError& e) {
+        EXPECT_EQ(e.offset(), 8u);  // the 'x'
+        EXPECT_EQ(e.line(), 2u);
+        EXPECT_EQ(e.column(), 2u);
+        EXPECT_NE(std::string(e.what()).find("byte 8"), std::string::npos) << e.what();
+    }
+}
+
+TEST(Json, DeepNestingIsRefusedNotACrash) {
+    // 200 000 levels used to recurse until the stack overflowed.
+    for (const char open : {'[', '{'}) {
+        std::string deep;
+        for (int i = 0; i < 200000; ++i) deep += open == '[' ? "[" : "{\"k\":";
+        try {
+            (void)Json::parse(deep);
+            FAIL() << "expected JsonParseError";
+        } catch (const JsonParseError& e) {
+            EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
+            EXPECT_LT(e.offset(), deep.size());
+        }
+    }
+    // The limit itself still parses; one more level does not.
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(Json::parse(nested(Json::kMaxParseDepth)).is_array());
+    EXPECT_THROW((void)Json::parse(nested(Json::kMaxParseDepth + 1)), JsonParseError);
 }
 
 TEST(Json, ParseRejectsMalformedInput) {

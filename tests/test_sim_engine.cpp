@@ -32,6 +32,64 @@ void expect_identical(const SimulationResult& a, const SimulationResult& b,
     EXPECT_EQ(a.importance_sampled, b.importance_sampled) << what;
 }
 
+/// A one-event tree whose event fires with probability 1 - exp(-lambda).
+ftree::FaultTree single_event_tree(double lambda) {
+    ftree::FaultTree ft;
+    const ftree::FtRef e = ft.add_basic_event("e", lambda);
+    ft.set_top(ft.add_gate("top", ftree::GateKind::Or, {e}));
+    return ft;
+}
+
+TEST(SimEngine, ZeroFailureIntervalStaysInUnitRange) {
+    // 0 failures in 1000 trials used to report [-0.0005, 0.0005].
+    const ftree::FaultTree ft = single_event_tree(1e-15);
+    const SimEngine engine(ft);
+    for (const SimEngineKind kind : {SimEngineKind::BitParallel, SimEngineKind::Naive}) {
+        SimulationOptions options;
+        options.trials = 1000;
+        options.engine = kind;
+        const SimulationResult r = engine.run(options);
+        ASSERT_EQ(r.failures, 0u);
+        EXPECT_EQ(r.estimate, 0.0);
+        EXPECT_EQ(r.ci95_low, 0.0);
+        // Wilson upper bound z^2 / (n + z^2) ~ 3.8e-3: non-degenerate.
+        EXPECT_NEAR(r.ci95_high, 1.96 * 1.96 / (1000.0 + 1.96 * 1.96), 1e-12);
+        EXPECT_TRUE(r.consistent_with(0.0));
+    }
+}
+
+TEST(SimEngine, AllFailIntervalStaysInUnitRange) {
+    const ftree::FaultTree ft = single_event_tree(1e3);  // p = 1 - exp(-1000) == 1
+    const SimEngine engine(ft);
+    for (const SimEngineKind kind : {SimEngineKind::BitParallel, SimEngineKind::Naive}) {
+        SimulationOptions options;
+        options.trials = 1000;
+        options.engine = kind;
+        const SimulationResult r = engine.run(options);
+        ASSERT_EQ(r.failures, 1000u);
+        EXPECT_EQ(r.estimate, 1.0);
+        EXPECT_EQ(r.ci95_high, 1.0);
+        EXPECT_NEAR(r.ci95_low, 1000.0 / (1000.0 + 1.96 * 1.96), 1e-12);
+        EXPECT_TRUE(r.consistent_with(1.0));
+    }
+}
+
+TEST(SimEngine, ImportanceSampledIntervalStaysInUnitRange) {
+    // Heavy bias on a near-certain event: the continuity slack must not
+    // push the interval past 1 (or below 0).
+    const ftree::FaultTree ft = single_event_tree(5.0);
+    const SimEngine engine(ft);
+    SimulationOptions options;
+    options.trials = 1000;
+    options.importance_sampling = true;
+    options.is_bias = 0.5;
+    const SimulationResult r = engine.run(options);
+    EXPECT_GE(r.ci95_low, 0.0);
+    EXPECT_LE(r.ci95_high, 1.0);
+    EXPECT_LE(r.ci95_low, r.estimate);
+    EXPECT_GE(r.ci95_high, r.estimate);
+}
+
 TEST(SimEngine, BitwiseIdenticalAcrossThreadCounts) {
     const ftree::FaultTree ft = testing::random_fault_tree(11, 10, 7);
     const SimEngine engine(ft);
