@@ -8,15 +8,12 @@
 //   * module evaluation — every module of the canonical tree through a
 //     fresh manager per module vs one reused bdd::ModuleEvaluator
 //     workspace (the engine's per-thread path);
-//   * the mark-and-compact collection of long-lived managers — pause
-//     time and reclaimed nodes at a realistic live/garbage ratio;
 //   * the batched multi-lambda probability kernel — k rate lanes in one
 //     SoA sweep vs k sequential probability() calls, k = 1/8/64.
 #include "bench_util.h"
 
 #include <chrono>
 #include <cstdio>
-#include <random>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -113,18 +110,6 @@ std::vector<bdd::ProbVector> rate_lanes(const ftree::FaultTree& ft,
     return lanes;
 }
 
-/// Grows `mgr` with throwaway diagrams over its variables — the garbage
-/// a candidate sweep leaves behind between collections.
-void grow_garbage(bdd::BddManager& mgr, std::mt19937& rng, std::size_t ops) {
-    std::uniform_int_distribution<std::uint32_t> var(0, mgr.variable_count() - 1);
-    bdd::BddRef f = mgr.variable(var(rng));
-    for (std::size_t i = 0; i < ops; ++i) {
-        f = (rng() & 1) != 0 ? mgr.apply_or(f, mgr.variable(var(rng)))
-                             : mgr.apply_and(f, mgr.variable(var(rng)));
-    }
-    benchmark::DoNotOptimize(f);
-}
-
 void print_report() {
     using clock = std::chrono::steady_clock;
     const auto ns_since = [](clock::time_point start) {
@@ -152,23 +137,6 @@ void print_report() {
     bench::row("speedup", fresh_ns / reused_ns);
     bench::note("the workspace resets one manager per module and reuses the ordering");
     bench::note("and compile scratch; results are bitwise identical to fresh managers.");
-
-    bench::heading("mark-and-compact collection pause");
-    bdd::BddManager mgr(64);
-    std::mt19937 rng(7);
-    const bdd::BddRef live = mgr.apply_or(mgr.apply_and(mgr.variable(0), mgr.variable(1)),
-                                          mgr.apply_and(mgr.variable(2), mgr.variable(3)));
-    const auto pin = mgr.pin(live);
-    grow_garbage(mgr, rng, 200000);
-    const std::size_t before = mgr.size();
-    const auto gc_start = clock::now();
-    const bdd::BddManager::GcResult gc = mgr.collect();
-    const double gc_ns = ns_since(gc_start);
-    mgr.unpin(pin);
-    bench::row("arena before collect (nodes)", static_cast<double>(before));
-    bench::row("freed nodes", static_cast<double>(gc.freed_nodes));
-    bench::row("pause ns", gc_ns);
-    bench::row("pause ns per freed node", gc_ns / static_cast<double>(gc.freed_nodes));
 
     bench::heading("batched multi-lambda kernel vs sequential probability (k = 64)");
     const ftree::FaultTree ft = tree_with_blocks(8);
@@ -217,32 +185,6 @@ void BM_ModuleEvaluation(benchmark::State& state) {
     state.SetLabel(eval != nullptr ? "reused workspace" : "fresh managers");
 }
 BENCHMARK(BM_ModuleEvaluation)->Arg(0)->Arg(1);
-
-void BM_GcPause(benchmark::State& state) {
-    // Manual time: only the collect() call is measured; regrowing the
-    // garbage between collections is setup.
-    bdd::BddManager mgr(64);
-    std::mt19937 rng(7);
-    const bdd::BddRef live = mgr.apply_or(mgr.apply_and(mgr.variable(0), mgr.variable(1)),
-                                          mgr.apply_and(mgr.variable(2), mgr.variable(3)));
-    const auto pin = mgr.pin(live);
-    const auto garbage_ops = static_cast<std::size_t>(state.range(0));
-    double freed = 0.0;
-    for (auto _ : state) {
-        grow_garbage(mgr, rng, garbage_ops);
-        const auto start = std::chrono::steady_clock::now();
-        const bdd::BddManager::GcResult gc = mgr.collect();
-        const auto stop = std::chrono::steady_clock::now();
-        freed += static_cast<double>(gc.freed_nodes);
-        state.SetIterationTime(
-            std::chrono::duration_cast<std::chrono::duration<double>>(stop - start).count());
-    }
-    mgr.unpin(pin);
-    state.counters["gc_freed_nodes"] =
-        benchmark::Counter(freed, benchmark::Counter::kAvgIterations);
-    state.SetLabel(std::to_string(garbage_ops) + " garbage ops");
-}
-BENCHMARK(BM_GcPause)->Arg(20000)->Arg(100000)->UseManualTime();
 
 void BM_ProbabilityBatch(benchmark::State& state) {
     const ftree::FaultTree ft = tree_with_blocks(8);

@@ -1,18 +1,18 @@
-// Incremental fault-tree generation benchmark: per-thread component-
-// fragment builders (ftree::IncrementalTreeBuilder) against from-scratch
-// tree builds on the EcoTwin trade-off sweep.
+// Incremental fault-tree generation benchmark: the engine's per-thread
+// component-fragment builders (ftree::IncrementalTreeBuilder) on the
+// EcoTwin trade-off sweep.
 //
 // Workload: the same expanded EcoTwin lateral-control model as
 // bench_pruning, swept across capacity x metric configurations on one
-// shared engine whose result LRU is deliberately tiny — so revisited
-// candidates miss the LRU and reach tree generation, the regime the
-// fragment layer is built for.  The sweep runs twice on the same
-// engine: the first pass is the cold start (every composition
+// shared engine whose FIFO eval cache is deliberately tiny — so
+// revisited candidates miss the cache and reach tree generation, the
+// regime the fragment layer is built for.  The sweep runs twice on the
+// same engine: the first pass is the cold start (every composition
 // assembled once), the second is the steady state an iterative DSE
 // driver lives in (every composition already in the finished-tree
-// memo).  Results are bitwise identical on/off (asserted in
-// tests/test_mapping_search.cpp at threads 1/2/4/8); only the tree
-// construction work differs.
+// memo).  Assembled trees are bitwise identical to full rebuilds
+// (asserted against the engine-free path in
+// tests/test_mapping_search.cpp at threads 1/2/4/8).
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   prepares_warm     tree-generation calls in the steady-state pass
@@ -58,7 +58,7 @@ ArchitectureModel workload() {
 
 struct PassTotals {
     std::uint64_t evals = 0;
-    std::uint64_t prepares = 0;  // LRU misses: candidates that reached tree generation
+    std::uint64_t prepares = 0;  // cache misses: candidates that reached tree generation
     std::uint64_t gates = 0;     // "ftree.gates_built" delta over the pass
     std::uint64_t fragments_built = 0;
     std::uint64_t fragments_reused = 0;
@@ -96,16 +96,11 @@ struct SweepTotals {
 };
 
 /// The double sweep: cold pass then the identical steady-state pass on
-/// one shared engine.  The tiny LRU forces revisited candidates back
-/// through tree generation — with the fragment layer on, the warm pass
-/// serves them from the finished-tree memo instead of rebuilding.
-SweepTotals run_sweep(bool incremental) {
-    engine::EngineOptions eng;
-    eng.threads = 1;
-    eng.cache_capacity = 8;
-    eng.candidate_dedup = false;  // isolate the tree-generation layer
-    eng.incremental_ftree = incremental;
-    engine::EvalEngine shared(eng);
+/// one shared engine.  The tiny eval cache forces revisited candidates
+/// back through tree generation, where the warm pass serves them from
+/// the finished-tree memo instead of rebuilding.
+SweepTotals run_sweep() {
+    engine::EvalEngine shared({.threads = 1, .cache_capacity = 8});
     SweepTotals totals;
     totals.cold = run_pass(shared);
     totals.warm = run_pass(shared);
@@ -118,47 +113,24 @@ double per(std::uint64_t num, std::uint64_t den) {
 
 void print_report() {
     bench::heading("Incremental fault-tree generation (EcoTwin trade-off sweep)");
-    const SweepTotals off = run_sweep(false);
-    const SweepTotals on = run_sweep(true);
+    const SweepTotals on = run_sweep();
     bench::row("tree generations, cold pass", static_cast<double>(on.cold.prepares));
-    bench::row("gates/candidate, full rebuild (warm)", per(off.warm.gates, off.warm.prepares));
-    bench::row("gates/candidate, incremental (warm)", per(on.warm.gates, on.warm.prepares));
-    if (on.warm.gates > 0) {
-        bench::row("gate-construction reduction (warm)",
-                   per(off.warm.gates, off.warm.prepares) / per(on.warm.gates, on.warm.prepares));
-    } else {
-        bench::row("gate-construction reduction (warm)",
-                   std::string("inf (steady state builds zero gates)"));
-    }
+    bench::row("gates/candidate, cold pass", per(on.cold.gates, on.cold.prepares));
+    bench::row("gates/candidate, warm pass", per(on.warm.gates, on.warm.prepares));
     const std::uint64_t frags = on.cold.fragments_built + on.cold.fragments_reused +
                                 on.warm.fragments_built + on.warm.fragments_reused;
     bench::row("fragment reuse rate",
                per(on.cold.fragments_reused + on.warm.fragments_reused, frags));
     bench::row("finished-tree memo hits (warm)", static_cast<double>(on.warm.memo_hits));
-    bench::note("fronts and searched models are bitwise identical on/off");
+    bench::note("assembled trees are bitwise identical to full rebuilds");
     bench::note("(asserted by tests/test_mapping_search.cpp at threads 1/2/4/8).");
 }
 
-// The double sweep with incremental generation off: every LRU miss
-// rebuilds its fault tree from the model, cold and warm alike.
-void BM_IncrementalSweep_Off(benchmark::State& state) {
-    SweepTotals totals;
-    bench::time_batch(state, "bench.incremental_sweep_off_ns", [&] {
-        totals = run_sweep(false);
-        benchmark::DoNotOptimize(totals);
-    });
-    state.counters["prepares_warm"] = static_cast<double>(totals.warm.prepares);
-    state.counters["gates_warm"] = static_cast<double>(totals.warm.gates);
-    state.counters["gates_per_prepare_warm"] = per(totals.warm.gates, totals.warm.prepares);
-    state.counters["cache_hit_rate"] = 0.0;
-}
-BENCHMARK(BM_IncrementalSweep_Off)->Unit(benchmark::kMillisecond)->UseManualTime();
-
-// The same double sweep with the fragment layer on.
+// The double sweep through the fragment layer.
 void BM_IncrementalSweep_On(benchmark::State& state) {
     SweepTotals totals;
     bench::time_batch(state, "bench.incremental_sweep_on_ns", [&] {
-        totals = run_sweep(true);
+        totals = run_sweep();
         benchmark::DoNotOptimize(totals);
     });
     const std::uint64_t frags = totals.cold.fragments_built + totals.cold.fragments_reused +
@@ -173,17 +145,11 @@ void BM_IncrementalSweep_On(benchmark::State& state) {
 BENCHMARK(BM_IncrementalSweep_On)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 // Steady-state analyze latency: two rate-variant models alternating
-// through an engine whose LRU holds only one of them, so every analyze
-// is an LRU miss and pays tree generation.  With the fragment layer on
-// the finished-tree memo serves both after the first round.
+// through an engine whose eval cache holds only one of them, so every
+// analyze is a cache miss and reaches tree generation, where the
+// finished-tree memo serves both after the first round.
 void BM_RepeatAnalyze(benchmark::State& state) {
-    const bool incremental = state.range(0) != 0;
-    engine::EngineOptions eng;
-    eng.threads = 1;
-    eng.cache_capacity = 1;
-    eng.candidate_dedup = false;
-    eng.incremental_ftree = incremental;
-    engine::EvalEngine shared(eng);
+    engine::EvalEngine shared({.threads = 1, .cache_capacity = 1});
     const ArchitectureModel a = workload();
     ArchitectureModel b = workload();
     {
@@ -191,8 +157,7 @@ void BM_RepeatAnalyze(benchmark::State& state) {
         b.resources().node(r).lambda_override = b.resource_lambda(r) * 1.5;
     }
     const analysis::ProbabilityOptions options;
-    // Warm-up round: both compositions enter the finished-tree memo
-    // (and, off, prove the LRU really thrashes).
+    // Warm-up round: both compositions enter the finished-tree memo.
     (void)shared.analyze(a, options);
     (void)shared.analyze(b, options);
     obs::Counter& gates = obs::Registry::global().counter("ftree.gates_built");
@@ -207,7 +172,7 @@ void BM_RepeatAnalyze(benchmark::State& state) {
         analyzes == 0 ? 0.0 : per(gates.value() - gates_before, analyzes);
     state.counters["cache_hit_rate"] = 0.0;
 }
-BENCHMARK(BM_RepeatAnalyze)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseManualTime();
+BENCHMARK(BM_RepeatAnalyze)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 }  // namespace
 

@@ -19,6 +19,7 @@
 // threads needs >=8 cores — this harness reports whatever the host has).
 #include "bench_util.h"
 
+#include "core/thread_pool.h"
 #include "explore/mapping_search.h"
 #include "scenarios/micro.h"
 #include "transform/expand.h"
@@ -42,7 +43,7 @@ explore::MappingSearchResult run_search(const engine::EngineOptions& eng) {
 
 void print_report() {
     bench::heading("Mapping-search DSE engine (chain x3, all stages expanded)");
-    const auto serial = run_search({.threads = 1, .cache_capacity = 0, .candidate_dedup = false});
+    const auto serial = run_search({.threads = 1, .cache_capacity = 0});
     bench::row("evaluations per search", static_cast<double>(serial.evaluations));
     bench::row("merges applied", static_cast<double>(serial.merges));
     bench::row("P(fail) after search", serial.probability_after);
@@ -83,7 +84,7 @@ void print_report() {
 void BM_MappingSearch_Serial(benchmark::State& state) {
     std::uint64_t evals = 0;
     bench::time_batch(state, "bench.search_serial_ns", [&] {
-        const auto r = run_search({.threads = 1, .cache_capacity = 0, .candidate_dedup = false});
+        const auto r = run_search({.threads = 1, .cache_capacity = 0});
         evals = r.evaluations;
         benchmark::DoNotOptimize(r);
     });
@@ -97,11 +98,11 @@ BENCHMARK(BM_MappingSearch_Serial)->Unit(benchmark::kMillisecond)->UseManualTime
 void BM_MappingSearch_Parallel(benchmark::State& state) {
     std::uint64_t evals = 0;
     bench::time_batch(state, "bench.search_parallel_ns", [&] {
-        const auto r = run_search({.threads = 0, .cache_capacity = 0, .candidate_dedup = false});
+        const auto r = run_search({.threads = 0, .cache_capacity = 0});
         evals = r.evaluations;
         benchmark::DoNotOptimize(r);
     });
-    state.counters["engine_threads"] = static_cast<double>(engine::resolve_thread_count(0));
+    state.counters["engine_threads"] = static_cast<double>(core::resolve_thread_count(0));
     state.counters["cache_hit_rate"] = 0.0;
     state.counters["evals"] = static_cast<double>(evals);
 }

@@ -1,5 +1,4 @@
-// Modularized incremental candidate evaluation vs PR 1's whole-tree
-// cache (the ISSUE 2 tentpole).
+// Module-granular candidate evaluation under rotating rate variants.
 //
 // Workload: chain_n_stages(3) with every stage expanded, evaluated
 // without location events — location events are *global* shared basic
@@ -11,17 +10,11 @@
 // The steady-state loop rotates through *perturbed workload variants*:
 // every round overrides one resource's data-sheet failure rate with a
 // fresh value.  That models the realistic iterative-DSE regime — the
-// architect nudges a parameter and re-runs the search — and it is the
-// regime that separates the two cache granularities:
-//   * whole-tree keying (modularize=off) finds no cross-round reuse at
-//     all: every canonical tree embeds the new rate, so every round is
-//     as cold as the first;
-//   * module keying (modularize=on) misses at tree level too, but then
-//     replays every module the perturbed resource does not touch, and
-//     recompiles only the dirty spine.
-// The timings therefore show strictly higher cache hit rate and lower
-// wall time for modularize=on at identical results (bitwise identity of
-// the two settings is asserted by tests/test_engine.cpp).
+// architect nudges a parameter and re-runs the search.  Whole-tree keys
+// never repeat across rounds (every canonical tree embeds the new rate),
+// so all cross-round reuse comes from the module keys: the engine replays
+// every module the perturbed resource does not touch and recompiles only
+// the dirty spine.
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   cache_hit_rate   combined tree+module hit rate during the timing
@@ -60,10 +53,10 @@ std::uint64_t next_round() {
     return round++;
 }
 
-explore::MappingSearchOptions search_options(bool modularize) {
+explore::MappingSearchOptions search_options() {
     explore::MappingSearchOptions options;
     options.probability.include_location_events = false;
-    options.engine = {.threads = 1, .cache_capacity = 1 << 14, .modularize = modularize};
+    options.engine = {.threads = 1, .cache_capacity = 1 << 14};
     return options;
 }
 
@@ -97,52 +90,29 @@ void print_report() {
     bench::heading("Modularized incremental evaluation (chain x3 expanded, rotating variants)");
 
     constexpr int kRounds = 4;
-    engine::EvalEngine whole_tree(search_options(false).engine);
-    RotatingTotals off;
-    for (int i = 0; i < kRounds; ++i) off = run_round(whole_tree, search_options(false), off);
-
-    engine::EvalEngine modular(search_options(true).engine);
+    engine::EvalEngine modular(search_options().engine);
     RotatingTotals on;
-    for (int i = 0; i < kRounds; ++i) on = run_round(modular, search_options(true), on);
+    for (int i = 0; i < kRounds; ++i) on = run_round(modular, search_options(), on);
 
     ArchitectureModel probe = workload_variant(next_round());
-    const auto canon = engine::EvalEngine(search_options(true).engine).analyze(
-        probe, search_options(true).probability);
+    const auto canon =
+        engine::EvalEngine(search_options().engine).analyze(probe, search_options().probability);
     bench::row("modules per canonical tree", static_cast<double>(canon.modules));
     bench::row("evaluations per rotating round", static_cast<double>(on.evals / kRounds));
-    std::printf("  %-46s %.1f%%  (%llu/%llu tree hits)\n", "whole-tree cache, rotating variants",
-                100.0 * off.combined_hit_rate(), static_cast<unsigned long long>(off.tree_hits),
-                static_cast<unsigned long long>(off.evals));
-    std::printf("  %-46s %.1f%%  (+%llu module hits, %llu module misses)\n",
+    std::printf("  %-46s %.1f%%  (%llu tree hits, +%llu module hits, %llu module misses)\n",
                 "modularized cache, rotating variants", 100.0 * on.combined_hit_rate(),
+                static_cast<unsigned long long>(on.tree_hits),
                 static_cast<unsigned long long>(on.module_hits),
                 static_cast<unsigned long long>(on.module_misses));
-    bench::note("modularize on/off search results are bitwise identical");
-    bench::note("(asserted by tests/test_engine.cpp, Modularize.*).");
 }
 
-// PR 1 baseline under the rotating regime: whole-tree keys only, so the
-// cache earns nothing across rounds and little within one (mirror-merge
-// symmetry only).
-void BM_RotatingVariants_WholeTreeCache(benchmark::State& state) {
-    engine::EvalEngine engine(search_options(false).engine);
-    RotatingTotals totals;
-    for (auto _ : state) {
-        totals = run_round(engine, search_options(false), totals);
-        benchmark::DoNotOptimize(totals);
-    }
-    state.counters["cache_hit_rate"] = totals.combined_hit_rate();
-    state.counters["evals"] = static_cast<double>(totals.evals);
-}
-BENCHMARK(BM_RotatingVariants_WholeTreeCache)->Unit(benchmark::kMillisecond);
-
-// The tentpole: per-module keys replay every region the perturbation
-// does not touch, so each round only recompiles the dirty spine.
+// Per-module keys replay every region the perturbation does not touch,
+// so each round only recompiles the dirty spine.
 void BM_RotatingVariants_ModularizedCache(benchmark::State& state) {
-    engine::EvalEngine engine(search_options(true).engine);
+    engine::EvalEngine engine(search_options().engine);
     RotatingTotals totals;
     for (auto _ : state) {
-        totals = run_round(engine, search_options(true), totals);
+        totals = run_round(engine, search_options(), totals);
         benchmark::DoNotOptimize(totals);
     }
     state.counters["cache_hit_rate"] = totals.combined_hit_rate();

@@ -6,19 +6,16 @@
 // chain expanded (redundant branches everywhere, so iterations carry
 // many same-region candidates and every evaluation pays a sizeable
 // fault tree), swept across capacity x metric configurations on one
-// shared engine — the driver's trade-off loop in miniature.  "On" runs with admissible bound pruning and the
-// engine's cross-branch candidate dedup; "off" evaluates every candidate
-// and remembers nothing beyond the LRU cache.  Results are bitwise
-// identical either way (asserted in tests/test_mapping_search.cpp); only
-// the work differs.
+// shared engine — the driver's trade-off loop in miniature.  "On" runs
+// with admissible bound pruning; "off" evaluates every candidate unless
+// the FIFO eval cache holds it.  Results are bitwise identical either way
+// (asserted in tests/test_mapping_search.cpp); only the work differs.
 //
 // Counters exported per timing (consumed by tools/bench_to_json):
 //   evals             engine submissions over the sweep
 //   full_evals        tree-cache misses: candidates that paid the full
-//                     fault-tree + BDD pipeline (dedup and LRU hits are
-//                     both tree hits, so misses already exclude them)
+//                     fault-tree + BDD pipeline
 //   bound_rejections  candidates pruned by the bound check alone
-//   dedup_hits        evaluations served by the candidate memo
 //   candidates        (BM_BoundCheck) bounds computed per iteration
 //   offers            (BM_FrontUpdate) tracker offers per iteration
 #include "bench_util.h"
@@ -68,21 +65,14 @@ struct SweepTotals {
     std::uint64_t evals = 0;
     std::uint64_t full_evals = 0;
     std::uint64_t bound_rejections = 0;
-    std::uint64_t dedup_hits = 0;
 };
 
 /// The trade-off sweep: capacity x metric configurations of the mapping
 /// search over one shared engine, as an iterative DSE driver runs them.
-SweepTotals run_sweep(bool pruning_and_dedup) {
-    engine::EngineOptions eng;
-    eng.threads = 1;
-    // A bounded LRU, as a long-lived DSE service runs with: the sweep
-    // touches more distinct candidate trees than the cache holds, so
-    // cross-configuration revisits only survive in the candidate-dedup
-    // memo (the "on" side) — the LRU alone re-pays them.
-    eng.cache_capacity = 256;
-    eng.candidate_dedup = pruning_and_dedup;
-    engine::EvalEngine shared(eng);
+SweepTotals run_sweep(bool pruning) {
+    // A bounded eval cache, as a long-lived DSE service runs with: the
+    // sweep touches more distinct candidate trees than the cache holds.
+    engine::EvalEngine shared({.threads = 1, .cache_capacity = 256});
     SweepTotals totals;
     for (const std::size_t capacity : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
         for (const int metric : {1, 2}) {
@@ -91,12 +81,11 @@ SweepTotals run_sweep(bool pruning_and_dedup) {
             options.max_nodes_per_resource = capacity;
             options.metric = metric == 1 ? cost::CostMetric::exponential_metric1()
                                          : cost::CostMetric::exponential_metric2();
-            options.bound_pruning = pruning_and_dedup;
+            options.bound_pruning = pruning;
             const explore::MappingSearchResult r = explore::search_mapping(m, options, shared);
             totals.evals += r.evaluations;
             totals.full_evals += r.eval_cache_misses;
             totals.bound_rejections += r.bound_rejections;
-            totals.dedup_hits += r.dedup_hits;
         }
     }
     return totals;
@@ -107,11 +96,10 @@ void print_report() {
     const SweepTotals off = run_sweep(false);
     const SweepTotals on = run_sweep(true);
     bench::row("engine submissions, exhaustive", static_cast<double>(off.evals));
-    bench::row("engine submissions, pruned+dedup", static_cast<double>(on.evals));
+    bench::row("engine submissions, pruned", static_cast<double>(on.evals));
     bench::row("full evaluations, exhaustive", static_cast<double>(off.full_evals));
-    bench::row("full evaluations, pruned+dedup", static_cast<double>(on.full_evals));
+    bench::row("full evaluations, pruned", static_cast<double>(on.full_evals));
     bench::row("bound rejections", static_cast<double>(on.bound_rejections));
-    bench::row("dedup hits", static_cast<double>(on.dedup_hits));
     if (on.full_evals > 0) {
         bench::row("full-evaluation reduction",
                    static_cast<double>(off.full_evals) / static_cast<double>(on.full_evals));
@@ -121,7 +109,7 @@ void print_report() {
 }
 
 // The sweep with the staged pipeline off: every candidate pays fault
-// tree + BDD unless the LRU cache happens to hold it.
+// tree + BDD unless the eval cache happens to hold it.
 void BM_PruningSweep_Off(benchmark::State& state) {
     SweepTotals totals;
     bench::time_batch(state, "bench.pruning_sweep_off_ns", [&] {
@@ -134,7 +122,7 @@ void BM_PruningSweep_Off(benchmark::State& state) {
 }
 BENCHMARK(BM_PruningSweep_Off)->Unit(benchmark::kMillisecond)->UseManualTime();
 
-// The same sweep with bound pruning and candidate dedup on.
+// The same sweep with bound pruning on.
 void BM_PruningSweep_On(benchmark::State& state) {
     SweepTotals totals;
     bench::time_batch(state, "bench.pruning_sweep_on_ns", [&] {
@@ -144,7 +132,6 @@ void BM_PruningSweep_On(benchmark::State& state) {
     state.counters["evals"] = static_cast<double>(totals.evals);
     state.counters["full_evals"] = static_cast<double>(totals.full_evals);
     state.counters["bound_rejections"] = static_cast<double>(totals.bound_rejections);
-    state.counters["dedup_hits"] = static_cast<double>(totals.dedup_hits);
     state.counters["cache_hit_rate"] = 0.0;
 }
 BENCHMARK(BM_PruningSweep_On)->Unit(benchmark::kMillisecond)->UseManualTime();

@@ -80,8 +80,6 @@ void BddManager::reset(std::uint32_t variable_count) {
         cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
         cache.entries = 0;
     }
-    pins_.clear();
-    pin_free_.clear();
     prob_memo_.clear();
     prob_vec_.clear();
     prob_valid_ = 0;
@@ -356,123 +354,6 @@ void BddManager::probability_batch(BddRef f, std::span<const ProbVector> lanes,
     std::copy_n(rv, k, out.begin());
 }
 
-BddManager::PinId BddManager::pin(BddRef f) {
-    if (f >= nodes_.size()) throw AnalysisError("bdd: pin() on invalid ref");
-    if (!pin_free_.empty()) {
-        const PinId id = pin_free_.back();
-        pin_free_.pop_back();
-        pins_[id] = f;
-        return id;
-    }
-    const auto id = static_cast<PinId>(pins_.size());
-    pins_.push_back(f);
-    return id;
-}
-
-void BddManager::unpin(PinId id) {
-    if (id >= pins_.size() || pins_[id] == kUnpinned) {
-        throw AnalysisError("bdd: unpin() on unknown pin");
-    }
-    pins_[id] = kUnpinned;
-    pin_free_.push_back(id);
-}
-
-BddRef BddManager::pinned(PinId id) const {
-    if (id >= pins_.size() || pins_[id] == kUnpinned) {
-        throw AnalysisError("bdd: pinned() on unknown pin");
-    }
-    return pins_[id];
-}
-
-BddManager::GcResult BddManager::collect() {
-    const obs::ObsSpan span("bdd_gc", "bdd", "before", static_cast<double>(size()));
-    const std::size_t before = size();
-    bank_nodes_created();
-
-    // Mark: everything reachable from a pinned root survives.
-    std::vector<char> live(nodes_.size(), 0);
-    live[kFalse] = 1;
-    live[kTrue] = 1;
-    std::vector<BddRef> stack;
-    for (const BddRef root : pins_) {
-        if (root == kUnpinned || is_terminal(root) || live[root]) continue;
-        live[root] = 1;
-        stack.push_back(root);
-        while (!stack.empty()) {
-            const Node& n = nodes_[stack.back()];
-            stack.pop_back();
-            for (const BddRef child : {n.high, n.low}) {
-                if (live[child]) continue;
-                live[child] = 1;
-                stack.push_back(child);
-            }
-        }
-    }
-
-    // Compact: renumber survivors in ascending old-ref order.  The map
-    // is monotone and children precede parents before the pass, so
-    // `high < ref, low < ref` still holds afterwards; each survivor is
-    // rewritten into a slot <= its old one, so reads never see a
-    // clobbered node.
-    std::vector<BddRef> fwd(nodes_.size(), kUnpinned);
-    fwd[kFalse] = kFalse;
-    fwd[kTrue] = kTrue;
-    BddRef next = 2;
-    for (BddRef i = 2; i < nodes_.size(); ++i) {
-        if (!live[i]) continue;
-        const Node& n = nodes_[i];
-        nodes_[next] = Node{n.var, fwd[n.high], fwd[n.low]};
-        fwd[i] = next++;
-    }
-    nodes_.resize(next);
-    nodes_.shrink_to_fit();
-
-    // Rebuild the unique table over the survivors (shrunk back towards
-    // the initial capacity so memory stays flat across generations).
-    std::size_t capacity = kInitialTableCapacity;
-    while (over_load(next, capacity)) capacity *= 2;
-    unique_.slots.assign(capacity, kFalse);
-    unique_.entries = next - 2;
-    const std::size_t mask = capacity - 1;
-    for (BddRef ref = 2; ref < next; ++ref) {
-        const Node& n = nodes_[ref];
-        std::size_t i = static_cast<std::size_t>(detail::mix_node_key(n.var, n.high, n.low)) & mask;
-        while (unique_.slots[i] != kFalse) i = (i + 1) & mask;
-        unique_.slots[i] = ref;
-    }
-
-    // Apply caches and the probability memo key/extend old refs: drop
-    // them wholesale (safe — both are pure memos).
-    for (ApplyCache& cache : apply_cache_) {
-        cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
-        cache.entries = 0;
-    }
-    prob_memo_.clear();
-    prob_vec_.clear();
-    prob_valid_ = 0;
-    // The batch scratch stamps reference old refs too; a full reset
-    // keeps stale epochs from matching renumbered nodes.
-    batch_stamp_.clear();
-    batch_pos_.clear();
-    batch_epoch_ = 0;
-    batch_cached_root_ = kFalse;
-
-    for (BddRef& root : pins_) {
-        if (root != kUnpinned) root = fwd[root];
-    }
-
-    GcResult result{size(), before - size()};
-    ++gc_collections_;
-    ++obs_tally_.gc_collections;
-    obs_tally_.gc_nodes_freed += result.freed_nodes;
-    // Future growth is counted from the compacted arena (the freed nodes
-    // were banked above).
-    obs_nodes_flushed_ = nodes_.size();
-    static obs::Gauge& live_gauge = obs::Registry::global().gauge("bdd.gc.live_nodes");
-    live_gauge.set(static_cast<double>(result.live_nodes));
-    return result;
-}
-
 std::size_t BddManager::node_count(BddRef f) const {
     if (is_terminal(f)) return 0;
     gather(f);
@@ -512,8 +393,6 @@ void BddManager::flush_obs() const {
     static obs::Counter& unique_resizes = obs::Registry::global().counter("bdd.unique_resizes");
     static obs::Counter& apply_resizes = obs::Registry::global().counter("bdd.apply_resizes");
     static obs::Counter& nodes_created = obs::Registry::global().counter("bdd.nodes_created");
-    static obs::Counter& gc_collections = obs::Registry::global().counter("bdd.gc.collections");
-    static obs::Counter& gc_nodes_freed = obs::Registry::global().counter("bdd.gc.nodes_freed");
     static obs::Gauge& high_water = obs::Registry::global().gauge("bdd.node_high_water");
     static obs::Gauge& load_factor = obs::Registry::global().gauge("bdd.unique_load_factor");
 
@@ -521,12 +400,10 @@ void BddManager::flush_obs() const {
     hits.add(obs_tally_.apply_hits);
     unique_resizes.add(obs_tally_.unique_resizes);
     apply_resizes.add(obs_tally_.apply_resizes);
-    gc_collections.add(obs_tally_.gc_collections);
-    gc_nodes_freed.add(obs_tally_.gc_nodes_freed);
 
     // Arena growth since the last flush (the baseline starts past the two
     // terminals, which are storage, not created nodes), plus any growth
-    // collect()/reset() banked before shrinking the arena.
+    // reset() banked before shrinking the arena.
     std::uint64_t created = obs_tally_.nodes_created;
     if (nodes_.size() > obs_nodes_flushed_) {
         created += nodes_.size() - obs_nodes_flushed_;

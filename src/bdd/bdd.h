@@ -35,11 +35,7 @@
 // arena and the tables in O(initial table size) — never O(largest table
 // ever grown) — which is how bdd::ModuleEvaluator (from_fault_tree.h)
 // gives every engine worker one workspace for all its module
-// evaluations.  Long-lived managers that keep diagrams instead can widen
-// the variable order (ensure_variables()) and bound their arena with
-// pin()/collect(), a mark-and-compact garbage collection that renumbers
-// live nodes while preserving the children-precede-parents arena
-// invariant.  See docs/bdd.md for the lifecycle contract.
+// evaluations.  See docs/bdd.md for the lifecycle contract.
 //
 // A manager is NOT thread-safe; concurrent evaluation uses one manager
 // per worker (see engine/), which keeps the apply hot path lock-free.
@@ -103,10 +99,10 @@ public:
     /// variables: afterwards it behaves exactly like a freshly
     /// constructed BddManager(variable_count) — same node numbering, same
     /// size(), same results — except that it keeps its buffers.  Costs
-    /// O(initial table capacity + pins): tables grown past their initial
+    /// O(initial table capacity): tables grown past their initial
     /// capacity are cut back to it (their buffers stay allocated), so a
     /// large diagram never makes later small resets pay for its tables.
-    /// Every BddRef and pin ticket taken before the reset is invalid.
+    /// Every BddRef taken before the reset is invalid.
     void reset(std::uint32_t variable_count);
 
     /// The BDD for a single variable: ITE(var, 1, 0).
@@ -151,57 +147,6 @@ public:
     /// Shares probability_batch()'s gather: right after a sweep of the
     /// same root it costs O(1).
     [[nodiscard]] std::size_t node_count(BddRef f) const;
-
-    // ---- Generational collection --------------------------------------
-    //
-    // The arena is append-only between collections; collect() is a
-    // mark-and-compact pass over the pinned roots.  BddRefs are arena
-    // indices, so collection renumbers every surviving node: any ref
-    // held across a collect() MUST be registered with pin() and re-read
-    // through pinned() afterwards.  Callers that instead key refs in
-    // external memo tables clear those tables at the safe point before
-    // collecting.  collect() must never run while an apply()/compile
-    // recursion is on the stack.
-
-    /// Ticket for a root that must survive collect().
-    using PinId = std::uint32_t;
-
-    /// Registers `f` as a GC root; everything reachable from it survives
-    /// collection.  Pinning a terminal is allowed (and trivially cheap).
-    [[nodiscard]] PinId pin(BddRef f);
-    void unpin(PinId id);
-    /// The pinned root's current ref (renumbered by any collect() since
-    /// pin() was called).
-    [[nodiscard]] BddRef pinned(PinId id) const;
-
-    /// Interior-node high-water mark at which gc_due() starts reporting
-    /// true.  0 (the default) disables the trigger; collect() itself
-    /// always works.  The manager never collects behind the caller's
-    /// back — callers poll gc_due() at safe points (no refs on the
-    /// stack) and invoke collect() themselves.
-    void set_gc_threshold(std::size_t interior_nodes) noexcept { gc_threshold_ = interior_nodes; }
-    [[nodiscard]] std::size_t gc_threshold() const noexcept { return gc_threshold_; }
-    [[nodiscard]] bool gc_due() const noexcept {
-        return gc_threshold_ != 0 && size() >= gc_threshold_;
-    }
-
-    struct GcResult {
-        std::size_t live_nodes = 0;   ///< interior nodes surviving
-        std::size_t freed_nodes = 0;  ///< interior nodes reclaimed
-    };
-
-    /// Mark-and-compact collection: marks everything reachable from the
-    /// pinned roots, renumbers survivors in ascending old-ref order
-    /// (children precede parents before the sweep, the renumbering is
-    /// monotone, so they still do afterwards — the invariant the
-    /// probability sweeps rely on), rebuilds the unique table over the
-    /// survivors, and drops the apply caches and the probability memo
-    /// (their keys/extents reference old refs).  Pinned refs are
-    /// remapped in place; reports bdd.gc.* counters and a "bdd_gc" span.
-    GcResult collect();
-
-    /// Collections performed over this manager's lifetime.
-    [[nodiscard]] std::uint64_t gc_collections() const noexcept { return gc_collections_; }
 
     /// Total interior nodes ever created in this manager.
     [[nodiscard]] std::size_t size() const noexcept { return nodes_.size() - 2; }
@@ -273,8 +218,8 @@ private:
     /// into batch_pos_; reuses the previous gather while the diagram
     /// under `f` cannot have changed.
     void gather(BddRef f) const;
-    /// Moves arena growth not yet flushed into the tally before the arena
-    /// shrinks (collect(), reset()).
+    /// Moves arena growth not yet flushed into the tally before reset()
+    /// shrinks the arena.
     void bank_nodes_created() const;
 
     [[nodiscard]] std::uint32_t var_of(BddRef f) const noexcept {
@@ -286,14 +231,6 @@ private:
     std::vector<Node> nodes_;  // contiguous arena; [0]=false, [1]=true
     UniqueTable unique_;
     ApplyCache apply_cache_[2];  // indexed by BddOp
-
-    // GC roots: pins_[id] is the (collection-remapped) root, or
-    // kUnpinned for a recycled ticket.
-    static constexpr BddRef kUnpinned = ~BddRef{0};
-    std::vector<BddRef> pins_;
-    std::vector<PinId> pin_free_;
-    std::size_t gc_threshold_ = 0;
-    std::uint64_t gc_collections_ = 0;
 
     // probability() memo: per-node probabilities under the retained
     // prob_vec_, valid for refs < prob_valid_.  The retained copy is
@@ -317,8 +254,8 @@ private:
     mutable std::vector<double> batch_probs_;
     // The gathered order is reused while the diagram cannot have
     // changed: same root and unchanged (append-only) arena size.
-    // collect() and reset() renumber or drop nodes, so they clear the
-    // cached root (kFalse is never gathered).
+    // reset() drops nodes, so it clears the cached root (kFalse is never
+    // gathered).
     mutable BddRef batch_cached_root_ = kFalse;
     mutable std::size_t batch_cached_arena_ = 0;
     mutable std::uint32_t batch_cached_max_var_ = 0;
@@ -332,10 +269,8 @@ private:
         std::uint64_t apply_hits = 0;
         std::uint64_t unique_resizes = 0;
         std::uint64_t apply_resizes = 0;
-        std::uint64_t gc_collections = 0;
-        std::uint64_t gc_nodes_freed = 0;
-        /// Arena growth banked by collect()/reset() (both move the flush
-        /// baseline, so growth-since-last-flush is captured here first).
+        /// Arena growth banked by reset() (it moves the flush baseline,
+        /// so growth-since-last-flush is captured here first).
         std::uint64_t nodes_created = 0;
     };
     mutable ObsTally obs_tally_;

@@ -1,11 +1,16 @@
 #include "cli/cli.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/ccf.h"
 #include "analysis/fmea.h"
@@ -56,11 +61,36 @@ struct Args {
     }
 };
 
-/// Options that are flags (no value follows).
-bool is_flag(const std::string& key) {
-    return key == "approximate" || key == "all" || key == "help" || key == "strict" ||
-           key == "no-incremental-ftree" || key == "profile" || key == "is";
-}
+/// A command-line option value the command refuses; run_cli reports it
+/// as a usage error (exit 2).
+class OptionError : public Error {
+public:
+    explicit OptionError(const std::string& what) : Error("invalid option: " + what) {}
+};
+
+/// Every --option any command reads, and whether a value follows it.  An
+/// unknown --key is refused here, before it can swallow the next token
+/// as its value.
+struct OptionSpec {
+    std::string_view name;
+    bool takes_value;
+};
+constexpr OptionSpec kOptions[] = {
+    {"all", false},            {"approximate", false},    {"block", true},
+    {"branches", true},        {"csv", true},             {"engine", true},
+    {"format", true},          {"help", false},           {"hours", true},
+    {"is", false},             {"is-bias", true},         {"is-max-order", true},
+    {"layer", true},           {"max-nodes", true},       {"max-order", true},
+    {"merger", true},          {"metric", true},          {"metrics", true},
+    {"node", true},            {"nodes", true},           {"openmetrics-out", true},
+    {"out", true},             {"profile", false},        {"profile-format", true},
+    {"profile-out", true},     {"rate-scale", true},      {"rules", true},
+    {"sample-capacity", true}, {"sample-ndjson", true},   {"sample-out", true},
+    {"sample-period", true},   {"seed", true},            {"strategy", true},
+    {"stream-front", true},    {"strict", false},         {"threads", true},
+    {"trace", true},           {"trials", true},          {"watch-out", true},
+    {"watch-rules", true},
+};
 
 Args parse_args(const std::vector<std::string>& argv) {
     Args args;
@@ -68,7 +98,10 @@ Args parse_args(const std::vector<std::string>& argv) {
         const std::string& token = argv[i];
         if (token.rfind("--", 0) == 0) {
             const std::string key = token.substr(2);
-            if (is_flag(key)) {
+            const auto spec = std::find_if(std::begin(kOptions), std::end(kOptions),
+                                           [&](const OptionSpec& o) { return o.name == key; });
+            if (spec == std::end(kOptions)) throw OptionError(token);
+            if (!spec->takes_value) {
                 args.options[key] = "1";
             } else if (i + 1 < argv.size()) {
                 args.options[key] = argv[++i];
@@ -83,13 +116,6 @@ Args parse_args(const std::vector<std::string>& argv) {
     }
     return args;
 }
-
-/// A command-line option value the command refuses; run_cli reports it
-/// as a usage error (exit 2).
-class OptionError : public Error {
-public:
-    explicit OptionError(const std::string& what) : Error("invalid option: " + what) {}
-};
 
 /// The value of numeric option --`key`, or `fallback` when it is absent.
 /// Accepts exactly one finite, strictly positive number (durations,
@@ -107,6 +133,27 @@ double positive_option(const Args& args, const std::string& key, double fallback
     }
     if (used == 0 || used != text.size() || !std::isfinite(value) || value <= 0.0) {
         throw OptionError("--" + key + " expects a finite positive number, got '" + text + "'");
+    }
+    return value;
+}
+
+/// The value of integer option --`key`, or `fallback` when it is absent.
+/// Accepts exactly one run of decimal digits whose value lies in
+/// [`min`, max of T] (counts, seeds, sizes, periods); anything else — a
+/// sign, trailing text, an empty value, an out-of-range number — throws
+/// OptionError.
+template <typename T>
+T integer_option(const Args& args, const std::string& key, T fallback, T min = 0) {
+    if (!args.has(key)) return fallback;
+    const std::string text = args.get(key);
+    T value = 0;
+    const bool digits = !text.empty() && text.find_first_not_of("0123456789") == std::string::npos;
+    if (!digits ||
+        std::from_chars(text.data(), text.data() + text.size(), value).ec != std::errc{} ||
+        value < min) {
+        throw OptionError("--" + key + " expects a whole number from " + std::to_string(min) +
+                          " to " + std::to_string(std::numeric_limits<T>::max()) + ", got '" +
+                          text + "'");
     }
     return value;
 }
@@ -206,12 +253,8 @@ int cmd_analyze(const Args& args, std::ostream& out) {
     options.mission_hours = positive_option(args, "hours", options.mission_hours);
     // The engine path, as every other scoring command takes it, so the
     // engine.* metrics (and watch rules on them) see this analysis.  One
-    // model on the calling thread: no worker lanes, and the full-rebuild
-    // tree path — there are no earlier fragments to reuse.
-    engine::EngineOptions engine_options;
-    engine_options.threads = 1;
-    engine_options.incremental_ftree = false;
-    engine::EvalEngine engine(engine_options);
+    // model on the calling thread: no worker lanes.
+    engine::EvalEngine engine({.threads = 1});
     const analysis::ProbabilityResult result = engine.analyze(m, options);
     const cost::CostMetric metric = parse_metric(args.get("metric", "1"));
     out << "model              : " << m.name() << "\n"
@@ -237,17 +280,15 @@ int cmd_analyze(const Args& args, std::ostream& out) {
 int cmd_simulate(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::SimulationOptions options;
-    if (args.has("trials")) options.trials = std::stoull(args.get("trials"));
-    if (args.has("seed")) options.seed = std::stoull(args.get("seed"));
+    options.trials = integer_option<std::uint64_t>(args, "trials", options.trials, 1);
+    options.seed = integer_option<std::uint64_t>(args, "seed", options.seed);
     options.mission_hours = positive_option(args, "hours", options.mission_hours);
     options.rate_scale = positive_option(args, "rate-scale", options.rate_scale);
-    if (args.has("threads")) options.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
-    if (args.has("block")) options.block_trials = std::stoull(args.get("block"));
+    options.threads = integer_option<unsigned>(args, "threads", options.threads);
+    options.block_trials = integer_option<std::uint64_t>(args, "block", options.block_trials);
     options.importance_sampling = args.has("is");
     options.is_bias = positive_option(args, "is-bias", options.is_bias);
-    if (args.has("is-max-order")) {
-        options.is_max_order = static_cast<std::size_t>(std::stoul(args.get("is-max-order")));
-    }
+    options.is_max_order = integer_option<std::size_t>(args, "is-max-order", options.is_max_order);
     const std::string engine = args.get("engine", "bitparallel");
     if (engine == "naive") {
         options.engine = analysis::SimEngineKind::Naive;
@@ -306,9 +347,7 @@ int cmd_ccf(const Args& args, std::ostream& out) {
 int cmd_tolerance(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     analysis::FaultToleranceOptions options;
-    if (args.has("max-order")) {
-        options.max_order = static_cast<std::size_t>(std::stoul(args.get("max-order")));
-    }
+    options.max_order = integer_option<std::size_t>(args, "max-order", options.max_order);
     const analysis::FaultToleranceReport report = analyze_fault_tolerance(m, options);
     out << "minimal cut order : " << report.min_cut_order << "\n"
         << "tolerated faults  : " << report.tolerated_faults << "\n";
@@ -349,9 +388,7 @@ int cmd_advise(const Args& args, std::ostream& out) {
     const ArchitectureModel m = load_positional_model(args);
     explore::AdvisorOptions options;
     options.strategy = parse_strategy(args.get("strategy", "BB"));
-    if (args.has("branches")) {
-        options.branches = static_cast<std::size_t>(std::stoul(args.get("branches")));
-    }
+    options.branches = integer_option<std::size_t>(args, "branches", options.branches);
     options.probability.approximate = true;
     for (const explore::ExpansionAdvice& advice : explore::advise_expansions(m, options)) {
         out << "  " << advice << "\n";
@@ -366,9 +403,7 @@ int cmd_expand(const Args& args, std::ostream& out) {
     if (!n.valid()) throw IoError("no application node named '" + args.get("node") + "'");
     transform::ExpandOptions options;
     options.strategy = parse_strategy(args.get("strategy", "BB"));
-    if (args.has("branches")) {
-        options.branches = static_cast<std::size_t>(std::stoul(args.get("branches")));
-    }
+    options.branches = integer_option<std::size_t>(args, "branches", options.branches);
     const transform::ExpandResult result = transform::expand(m, n, options);
     io::save_model(m, require_out(args));
     out << "expanded '" << args.get("node") << "' with " << to_string(result.pattern) << " into "
@@ -434,16 +469,9 @@ int cmd_search(const Args& args, std::ostream& out) {
     options.probability.approximate = args.has("approximate");
     options.probability.mission_hours =
         positive_option(args, "hours", options.probability.mission_hours);
-    if (args.has("max-nodes")) {
-        options.max_nodes_per_resource =
-            static_cast<std::size_t>(std::stoul(args.get("max-nodes")));
-    }
-    if (args.has("threads")) {
-        options.engine.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
-    }
-    // Escape hatch for A/B timing; never changes the searched model or
-    // the front (docs/ftree.md).
-    if (args.has("no-incremental-ftree")) options.engine.incremental_ftree = false;
+    options.max_nodes_per_resource =
+        integer_option<std::size_t>(args, "max-nodes", options.max_nodes_per_resource);
+    options.engine.threads = integer_option<unsigned>(args, "threads", options.engine.threads);
     std::optional<FrontStream> stream;
     if (args.has("stream-front")) {
         stream.emplace(args.get("stream-front"));
@@ -457,8 +485,7 @@ int cmd_search(const Args& args, std::ostream& out) {
         << "cost              : " << r.cost_before << " -> " << r.cost_after << "\n"
         << "P(system failure) : " << r.probability_before << " -> " << r.probability_after << "\n"
         << "evaluations       : " << r.evaluations << " (" << r.bound_rejections
-        << " bound-pruned, " << r.lint_rejections << " lint-rejected, " << r.dedup_hits
-        << " dedup hits)\n"
+        << " bound-pruned, " << r.lint_rejections << " lint-rejected)\n"
         << "front             : " << r.front.size() << " point(s), " << r.front_updates
         << " update(s)\n";
     if (stream) {
@@ -573,12 +600,7 @@ int cmd_stats(const Args& args, std::ostream& out) {
         analysis::ProbabilityOptions options;
         options.approximate = args.has("approximate");
         options.mission_hours = positive_option(args, "hours", options.mission_hours);
-        engine::EngineOptions engine_options;
-        if (args.has("threads")) {
-            engine_options.threads = static_cast<unsigned>(std::stoul(args.get("threads")));
-        }
-        if (args.has("no-incremental-ftree")) engine_options.incremental_ftree = false;
-        engine::EvalEngine engine(engine_options);
+        engine::EvalEngine engine({.threads = integer_option<unsigned>(args, "threads", 0)});
         const analysis::ProbabilityResult result = engine.analyze(m, options);
         out << "model             : " << m.name() << "\n"
             << "P(system failure) : " << result.failure_probability << " over "
@@ -681,17 +703,10 @@ public:
         if (want_sampler) {
             obs::set_detail_enabled(true);  // sampled series should include histograms
             obs::TimeSeriesOptions options;
-            if (args.has("sample-period")) {
-                options.period =
-                    std::chrono::milliseconds(std::stoul(args.get("sample-period")));
-                if (options.period.count() <= 0) {
-                    options.period = std::chrono::milliseconds(1);
-                }
-            }
-            if (args.has("sample-capacity")) {
-                options.capacity =
-                    static_cast<std::size_t>(std::stoul(args.get("sample-capacity")));
-            }
+            options.period = std::chrono::milliseconds(integer_option<std::uint32_t>(
+                args, "sample-period", static_cast<std::uint32_t>(options.period.count()), 1));
+            options.capacity =
+                integer_option<std::size_t>(args, "sample-capacity", options.capacity, 1);
             options.ndjson_path = args.get("sample-ndjson");
             options.openmetrics_path = args.get("openmetrics-out");
             sampler_.emplace(options);
@@ -760,7 +775,7 @@ std::string usage() {
            "  connect   model.json [--merger NAME | --all] -o out.json\n"
            "  reduce    model.json -o out.json\n"
            "  search    model.json [--metric M] [--max-nodes N] [--hours H]\n"
-           "            [--approximate] [--threads N] [--no-incremental-ftree]\n"
+           "            [--approximate] [--threads N]\n"
            "            [--stream-front front.ndjson] [-o optimized.json]\n"
            "  explore   model.json --nodes a,b,c [--strategy S] [--metric M]\n"
            "            [--csv curve.csv] [--stream-front front.ndjson] [-o final.json]\n"
@@ -768,7 +783,7 @@ std::string usage() {
            "            [--format dot|graphml] -o out.dot\n"
            "  diff      before.json after.json\n"
            "  stats     [model.json] [--approximate] [--hours H] [--threads N]\n"
-           "            [--no-incremental-ftree] [--format text|json|openmetrics]\n"
+           "            [--format text|json|openmetrics]\n"
            "            [--profile] [--profile-format text|json|collapsed]\n"
            "            [--profile-out folded.txt]\n"
            "\n"

@@ -1,6 +1,5 @@
 #include "engine/engine.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -8,7 +7,6 @@
 
 #include "core/hash.h"
 #include "ftree/builder.h"
-#include "ftree/modules.h"
 #include "obs/trace.h"
 
 namespace asilkit::engine {
@@ -40,19 +38,14 @@ void fill_from_value(analysis::ProbabilityResult& result, const EvalValue& value
 }  // namespace
 
 EvalEngine::EvalEngine(const EngineOptions& options)
-    : pool_(resolve_thread_count(options.threads)),
+    : pool_(core::resolve_thread_count(options.threads)),
       cache_(options.cache_capacity),
-      modularize_(options.modularize),
-      batch_rate_variants_(options.batch_rate_variants),
-      candidate_dedup_(options.candidate_dedup),
-      incremental_ftree_(options.incremental_ftree),
       analyze_calls_(obs::Registry::global().counter("engine.analyze_calls")),
       tree_hits_(obs::Registry::global().counter("engine.tree_hits")),
       tree_misses_(obs::Registry::global().counter("engine.tree_misses")),
       module_hits_(obs::Registry::global().counter("engine.module_hits")),
       module_misses_(obs::Registry::global().counter("engine.module_misses")),
       lint_rejections_(obs::Registry::global().counter("engine.lint_rejections")),
-      dedup_hits_(obs::Registry::global().counter("explore.dedup_hits")),
       batch_groups_(obs::Registry::global().counter("engine.batch_groups")),
       batch_lanes_(obs::Registry::global().counter("engine.batch_lanes")),
       fragments_built_(obs::Registry::global().counter("ftree.fragment.built")),
@@ -64,7 +57,6 @@ EvalEngine::EvalEngine(const EngineOptions& options)
     base_.module_hits = module_hits_.value();
     base_.module_misses = module_misses_.value();
     base_.lint_rejections = lint_rejections_.value();
-    base_.dedup_hits = dedup_hits_.value();
     base_.batch_groups = batch_groups_.value();
     base_.batch_lanes = batch_lanes_.value();
     base_.fragments_built = fragments_built_.value();
@@ -81,26 +73,12 @@ EvalEngine::Stats EvalEngine::stats() const {
     s.module_hits = module_hits_.value() - base_.module_hits;
     s.module_misses = module_misses_.value() - base_.module_misses;
     s.lint_rejections = lint_rejections_.value() - base_.lint_rejections;
-    s.dedup_hits = dedup_hits_.value() - base_.dedup_hits;
     s.batch_groups = batch_groups_.value() - base_.batch_groups;
     s.batch_lanes = batch_lanes_.value() - base_.batch_lanes;
     s.fragments_built = fragments_built_.value() - base_.fragments_built;
     s.fragments_reused = fragments_reused_.value() - base_.fragments_reused;
     s.ftree_memo_hits = ftree_memo_hits_.value() - base_.ftree_memo_hits;
     return s;
-}
-
-std::optional<EvalValue> EvalEngine::dedup_lookup(std::uint64_t key) {
-    if (!candidate_dedup_) return std::nullopt;
-    const core::MutexLock lock(dedup_mutex_);
-    if (const auto it = dedup_map_.find(key); it != dedup_map_.end()) return it->second;
-    return std::nullopt;
-}
-
-void EvalEngine::dedup_insert(std::uint64_t key, const EvalValue& value) {
-    if (!candidate_dedup_) return;
-    const core::MutexLock lock(dedup_mutex_);
-    dedup_map_.emplace(key, value);
 }
 
 bdd::ModuleEvaluator& EvalEngine::evaluator_lane() {
@@ -111,18 +89,16 @@ bdd::ModuleEvaluator& EvalEngine::evaluator_lane() {
     return *slot;
 }
 
-ftree::IncrementalTreeBuilder* EvalEngine::ftree_lane() {
-    if (!incremental_ftree_) return nullptr;
+ftree::IncrementalTreeBuilder& EvalEngine::ftree_lane() {
     const std::thread::id id = std::this_thread::get_id();
     const core::MutexLock lock(ftree_lanes_mutex_);
     std::unique_ptr<ftree::IncrementalTreeBuilder>& slot = ftree_lanes_[id];
     if (slot == nullptr) slot = std::make_unique<ftree::IncrementalTreeBuilder>();
-    return slot.get();
+    return *slot;
 }
 
 EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
-                                              const analysis::ProbabilityOptions& options,
-                                              bool want_shape) {
+                                              const analysis::ProbabilityOptions& options) {
     analyze_calls_.inc();
 
     ftree::FtBuildOptions build_options;
@@ -139,34 +115,18 @@ EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
     // therefore the same cache key, the same module decomposition, the
     // same BDD variable orders, and bit-identical arithmetic.  That is
     // what makes a cache hit safe to substitute for a fresh evaluation
-    // at any thread count.
-    if (ftree::IncrementalTreeBuilder* const builder = ftree_lane()) {
-        // Incremental path: fragments dirty-tracked per thread, repeat
-        // compositions served from the finished-tree memo.  The
-        // assembled tree is bitwise identical to build_fault_tree, so
-        // everything derived below matches the full-rebuild path.
-        ftree::IncrementalTreeBuilder::Prepared prep = builder->prepare(m, build_options);
-        p.result.ft_stats = prep.stats;
-        p.result.approximated_blocks = prep.approximated_blocks;
-        p.result.cycles_cut = prep.cycles_cut;
-        p.result.warnings = std::move(prep.warnings);
-        p.canonical = std::move(prep.canonical);
-        p.modules = std::move(prep.modules);
-        p.tree_key = hash::combine(prep.structural_hash, double_bits(options.mission_hours));
-        if (want_shape) p.shape_hash = prep.shape_hash;
-        return p;
-    }
-
-    ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
-    p.result.ft_stats = built.tree.stats();
-    p.result.approximated_blocks = built.approximated_blocks;
-    p.result.cycles_cut = built.cycles_cut;
-    p.result.warnings = std::move(built.warnings);
-    const obs::ObsSpan canon_span("canonicalize", "ftree");
-    ftree::CanonicalTree canon = ftree::canonicalize(built.tree);
-    p.canonical = std::make_shared<const ftree::FaultTree>(std::move(canon.tree));
-    p.tree_key = hash::combine(canon.structural_hash, double_bits(options.mission_hours));
-    if (want_shape) p.shape_hash = canon.shape_hash;
+    // at any thread count.  Fragments are dirty-tracked per thread and
+    // repeat compositions served from the finished-tree memo; the
+    // assembled tree is bitwise identical to build_fault_tree.
+    ftree::IncrementalTreeBuilder::Prepared prep = ftree_lane().prepare(m, build_options);
+    p.result.ft_stats = prep.stats;
+    p.result.approximated_blocks = prep.approximated_blocks;
+    p.result.cycles_cut = prep.cycles_cut;
+    p.result.warnings = std::move(prep.warnings);
+    p.canonical = std::move(prep.canonical);
+    p.modules = std::move(prep.modules);
+    p.tree_key = hash::combine(prep.structural_hash, double_bits(options.mission_hours));
+    p.shape_hash = prep.shape_hash;
     return p;
 }
 
@@ -176,34 +136,15 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
         fill_from_value(p.result, *cached);
         return;
     }
-    // LRU miss: the non-evicting candidate memo may still know this
-    // canonical tree from an earlier iteration / sweep branch whose
-    // entry was evicted (or never cached, capacity 0).  The stored value
-    // is the bitwise EvalValue of that evaluation — identical to what
-    // re-evaluating would produce — so serving it is a tree hit.
-    if (const auto remembered = dedup_lookup(p.tree_key)) {
-        tree_hits_.inc();
-        dedup_hits_.inc();
-        cache_.insert(p.tree_key, *remembered);
-        fill_from_value(p.result, *remembered);
-        return;
-    }
     tree_misses_.inc();
 
     // Whole-tree miss: evaluate module by module, bottom-up.  A
     // candidate move only perturbs the modules its basic events sit in;
-    // with modularize on, every other module's key is unchanged from
-    // previously scored candidates and replays from cache — module
-    // subtree hashes are context-free, so the same region under a
-    // different tree yields the same key and the same bitwise value.
-    // The incremental builder hands the decomposition over with the
-    // tree; the full-rebuild path computes it here, as before.
-    std::shared_ptr<const ftree::ModuleDecomposition> dec_owned = p.modules;
-    if (dec_owned == nullptr) {
-        dec_owned =
-            std::make_shared<const ftree::ModuleDecomposition>(ftree::find_modules(*p.canonical));
-    }
-    const ftree::ModuleDecomposition& dec = *dec_owned;
+    // every other module's key is unchanged from previously scored
+    // candidates and replays from cache — module subtree hashes are
+    // context-free, so the same region under a different tree yields
+    // the same key and the same bitwise value.
+    const ftree::ModuleDecomposition& dec = *p.modules;
     bdd::ModuleEvaluator& evaluator = evaluator_lane();
     std::vector<double> module_prob(dec.size());
     std::vector<double> child_probs;
@@ -215,15 +156,13 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
         const ftree::Module& mod = dec.modules[i];
         const std::uint64_t module_key =
             module_cache_key(mod.subtree_hash, options.mission_hours);
-        if (modularize_) {
-            if (const auto cached = cache_.lookup(module_key)) {
-                ++local_hits;
-                module_prob[i] = cached->failure_probability;
-                total.bdd_nodes += cached->bdd_nodes;
-                total.bdd_total_nodes += cached->bdd_total_nodes;
-                total.variables += cached->variables;
-                continue;
-            }
+        if (const auto cached = cache_.lookup(module_key)) {
+            ++local_hits;
+            module_prob[i] = cached->failure_probability;
+            total.bdd_nodes += cached->bdd_nodes;
+            total.bdd_total_nodes += cached->bdd_total_nodes;
+            total.variables += cached->variables;
+            continue;
         }
         ++local_misses;
         child_probs.clear();
@@ -236,23 +175,14 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
         total.bdd_nodes += eval.bdd_nodes;
         total.bdd_total_nodes += eval.bdd_total_nodes;
         total.variables += eval.variables;
-        if (modularize_) {
-            EvalValue module_value;
-            module_value.failure_probability = eval.probability;
-            module_value.bdd_nodes = eval.bdd_nodes;
-            module_value.bdd_total_nodes = eval.bdd_total_nodes;
-            module_value.variables = eval.variables;
-            cache_.insert(module_key, module_value);
-        }
+        cache_.insert(module_key, EvalValue{eval.probability, eval.bdd_nodes,
+                                            eval.bdd_total_nodes, eval.variables});
     }
-    if (modularize_) {
-        module_hits_.add(local_hits);
-        module_misses_.add(local_misses);
-    }
+    module_hits_.add(local_hits);
+    module_misses_.add(local_misses);
 
     total.failure_probability = module_prob.back();
     cache_.insert(p.tree_key, total);
-    dedup_insert(p.tree_key, total);
     fill_from_value(p.result, total);
 }
 
@@ -268,11 +198,6 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
         if (const auto cached = cache_.lookup(p->tree_key)) {
             tree_hits_.inc();
             fill_from_value(p->result, *cached);
-        } else if (const auto remembered = dedup_lookup(p->tree_key)) {
-            tree_hits_.inc();
-            dedup_hits_.inc();
-            cache_.insert(p->tree_key, *remembered);
-            fill_from_value(p->result, *remembered);
         } else {
             tree_misses_.inc();
             live.push_back(p);
@@ -283,18 +208,10 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
     bdd::ModuleEvaluator& evaluator = evaluator_lane();
 
     // find_modules boundaries and order are purely structural, so every
-    // lane decomposes identically; the per-lane runs exist because
-    // module subtree hashes (the cache keys) include the lane's rates.
-    // Lanes prepared incrementally carry their decomposition already.
-    std::vector<std::shared_ptr<const ftree::ModuleDecomposition>> decs;
-    decs.reserve(k);
-    for (const PreparedModel* p : live) {
-        decs.push_back(p->modules != nullptr
-                           ? p->modules
-                           : std::make_shared<const ftree::ModuleDecomposition>(
-                                 ftree::find_modules(*p->canonical)));
-    }
-    const std::size_t nmodules = decs.front()->size();
+    // lane decomposes identically; the per-lane decompositions exist
+    // because module subtree hashes (the cache keys) include the lane's
+    // rates.
+    const std::size_t nmodules = live.front()->modules->size();
 
     std::vector<std::vector<double>> module_prob(k, std::vector<double>(nmodules));
     std::vector<EvalValue> totals(k);
@@ -314,25 +231,24 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
         dedup.clear();
         first_with_key.clear();
         for (std::size_t j = 0; j < k; ++j) {
-            keys[j] = module_cache_key(decs[j]->modules[i].subtree_hash, options.mission_hours);
-            if (modularize_) {
-                if (const auto cached = cache_.lookup(keys[j])) {
-                    ++local_hits;
-                    module_prob[j][i] = cached->failure_probability;
-                    totals[j].bdd_nodes += cached->bdd_nodes;
-                    totals[j].bdd_total_nodes += cached->bdd_total_nodes;
-                    totals[j].variables += cached->variables;
-                    continue;
-                }
-                // In-group dedup: two lanes whose rates agree on this
-                // module share one evaluation (a hit in all but name).
-                if (const auto it = first_with_key.find(keys[j]); it != first_with_key.end()) {
-                    ++local_hits;
-                    dedup.emplace_back(j, it->second);
-                    continue;
-                }
-                first_with_key.emplace(keys[j], j);
+            keys[j] = module_cache_key(live[j]->modules->modules[i].subtree_hash,
+                                       options.mission_hours);
+            if (const auto cached = cache_.lookup(keys[j])) {
+                ++local_hits;
+                module_prob[j][i] = cached->failure_probability;
+                totals[j].bdd_nodes += cached->bdd_nodes;
+                totals[j].bdd_total_nodes += cached->bdd_total_nodes;
+                totals[j].variables += cached->variables;
+                continue;
             }
+            // In-group dedup: two lanes whose rates agree on this module
+            // share one evaluation (a hit in all but name).
+            if (const auto it = first_with_key.find(keys[j]); it != first_with_key.end()) {
+                ++local_hits;
+                dedup.emplace_back(j, it->second);
+                continue;
+            }
+            first_with_key.emplace(keys[j], j);
             ++local_misses;
             eval_lanes.push_back(j);
         }
@@ -345,7 +261,7 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
             for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
                 const std::size_t j = eval_lanes[idx];
                 trees.push_back(live[j]->canonical.get());
-                for (const std::uint32_t child : decs[j]->modules[i].child_modules) {
+                for (const std::uint32_t child : live[j]->modules->modules[i].child_modules) {
                     child_probs[idx].push_back(module_prob[j][child]);
                 }
                 child_spans.emplace_back(child_probs[idx]);
@@ -353,8 +269,8 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
             // One compilation + one SoA sweep for every lane of the
             // module; dec structure is lane-independent, so the first
             // lane's decomposition addresses them all.
-            evals = evaluator.evaluate_module_lanes(trees, *decs.front(), i, child_spans,
-                                                     options.mission_hours);
+            evals = evaluator.evaluate_module_lanes(trees, *live.front()->modules, i,
+                                                     child_spans, options.mission_hours);
             for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
                 const std::size_t j = eval_lanes[idx];
                 const bdd::ModuleEvalResult& eval = evals[idx];
@@ -362,14 +278,8 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
                 totals[j].bdd_nodes += eval.bdd_nodes;
                 totals[j].bdd_total_nodes += eval.bdd_total_nodes;
                 totals[j].variables += eval.variables;
-                if (modularize_) {
-                    EvalValue module_value;
-                    module_value.failure_probability = eval.probability;
-                    module_value.bdd_nodes = eval.bdd_nodes;
-                    module_value.bdd_total_nodes = eval.bdd_total_nodes;
-                    module_value.variables = eval.variables;
-                    cache_.insert(keys[j], module_value);
-                }
+                cache_.insert(keys[j], EvalValue{eval.probability, eval.bdd_nodes,
+                                                 eval.bdd_total_nodes, eval.variables});
             }
         }
         for (const auto& [follower, leader] : dedup) {
@@ -386,14 +296,11 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
             }
         }
     }
-    if (modularize_) {
-        module_hits_.add(local_hits);
-        module_misses_.add(local_misses);
-    }
+    module_hits_.add(local_hits);
+    module_misses_.add(local_misses);
     for (std::size_t j = 0; j < k; ++j) {
         totals[j].failure_probability = module_prob[j].back();
         cache_.insert(live[j]->tree_key, totals[j]);
-        dedup_insert(live[j]->tree_key, totals[j]);
         fill_from_value(live[j]->result, totals[j]);
     }
 }
@@ -404,7 +311,7 @@ analysis::ProbabilityResult EvalEngine::analyze(const ArchitectureModel& m,
     static obs::Histogram& latency =
         obs::Registry::global().histogram("engine.analyze_ns", obs::latency_bounds_ns());
     const obs::ScopedTimer timer(latency);
-    PreparedModel p = prepare(m, options, false);
+    PreparedModel p = prepare(m, options);
     finish(p, options);
     return std::move(p.result);
 }
@@ -414,14 +321,12 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
     const analysis::ProbabilityOptions& options) {
     const obs::ObsSpan span("analyze_batch", "engine", "batch_size",
                             static_cast<double>(models.size()));
-    const bool group = batch_rate_variants_;
-
     // Phase A (parallel): model -> canonical tree and keys.  All cache
     // traffic waits for phase C, so the grouping below is a pure
     // function of the batch — deterministic at any thread count.
     std::vector<std::optional<PreparedModel>> prepared(models.size());
     pool_.parallel_for(models.size(), [&](std::size_t i) {
-        if (models[i] != nullptr) prepared[i] = prepare(*models[i], options, group);
+        if (models[i] != nullptr) prepared[i] = prepare(*models[i], options);
     });
 
     // Phase B (serial, input order): dedup identical tree keys — the
@@ -442,27 +347,22 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
         }
     }
     std::vector<std::vector<std::size_t>> units;
-    if (group) {
-        std::unordered_map<std::uint64_t, std::vector<std::size_t>> units_of_shape;
-        for (const std::size_t i : leaders) {
-            std::vector<std::size_t>& candidates = units_of_shape[prepared[i]->shape_hash];
-            bool placed = false;
-            for (const std::size_t u : candidates) {
-                if (ftree::identical_shape(*prepared[units[u].front()]->canonical,
-                                           *prepared[i]->canonical)) {
-                    units[u].push_back(i);
-                    placed = true;
-                    break;
-                }
-            }
-            if (!placed) {
-                candidates.push_back(units.size());
-                units.push_back({i});
+    std::unordered_map<std::uint64_t, std::vector<std::size_t>> units_of_shape;
+    for (const std::size_t i : leaders) {
+        std::vector<std::size_t>& candidates = units_of_shape[prepared[i]->shape_hash];
+        bool placed = false;
+        for (const std::size_t u : candidates) {
+            if (ftree::identical_shape(*prepared[units[u].front()]->canonical,
+                                       *prepared[i]->canonical)) {
+                units[u].push_back(i);
+                placed = true;
+                break;
             }
         }
-    } else {
-        units.reserve(leaders.size());
-        for (const std::size_t i : leaders) units.push_back({i});
+        if (!placed) {
+            candidates.push_back(units.size());
+            units.push_back({i});
+        }
     }
     for (const std::vector<std::size_t>& unit : units) {
         if (unit.size() > 1) {

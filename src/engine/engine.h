@@ -7,18 +7,22 @@
 // makes that pipeline scale:
 //   * a fixed thread pool evaluates independent candidates
 //     concurrently — every evaluation owns its BddManagers, so no locks
-//     sit on the apply path (see thread_pool.h);
+//     sit on the apply path (see core/thread_pool.h);
 //   * every canonical tree is split into independent modules
 //     (ftree/modules.h) and evaluated module-by-module: each module's
 //     local region compiles to its own small BDD, nested modules enter
 //     as pseudo-variables — exact, since modules share no basic events
 //     with the rest of the tree;
 //   * an evaluation cache memoises at two granularities: whole
-//     canonical trees (a hit skips everything) and, with `modularize`
-//     on, individual modules — so a candidate move that perturbs one
-//     region of the tree replays every untouched module from cache and
-//     recompiles only the modules its basic events intersect
-//     (see eval_cache.h);
+//     canonical trees (a hit skips everything) and individual modules —
+//     so a candidate move that perturbs one region of the tree replays
+//     every untouched module from cache and recompiles only the modules
+//     its basic events intersect (see eval_cache.h);
+//   * every worker thread keeps ONE incremental tree builder
+//     (ftree::IncrementalTreeBuilder): a candidate edit regenerates only
+//     the component fragments whose model facts changed, and a repeat
+//     composition reuses the finished canonical tree, hashes and module
+//     decomposition by reference (see docs/ftree.md);
 //   * every worker thread keeps ONE module-evaluation workspace
 //     (bdd::ModuleEvaluator): a BddManager reset per module plus reused
 //     ordering and compile scratch, so a module miss allocates nothing
@@ -30,28 +34,27 @@
 //     sweep, k results.
 //
 // Determinism contract: for a fixed model and options, results are
-// bitwise identical regardless of thread count, cache capacity AND the
-// modularize flag.  The modular evaluation order is always used, so a
-// whole-tree hit, a per-module replay and a fresh evaluation all
-// produce the same doubles; callers that batch through the pool reduce
-// their results in input order.
+// bitwise identical regardless of thread count and cache capacity.  The
+// modular evaluation order is always used, so a whole-tree hit, a
+// per-module replay and a fresh evaluation all produce the same doubles;
+// callers that batch through the pool reduce their results in input
+// order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/sync.h"
+#include "core/thread_pool.h"
 
 #include "analysis/probability.h"
 #include "bdd/from_fault_tree.h"
 #include "engine/eval_cache.h"
-#include "engine/thread_pool.h"
 #include "ftree/cft.h"
 #include "ftree/modules.h"
 #include "model/architecture.h"
@@ -66,38 +69,6 @@ struct EngineOptions {
     unsigned threads = 0;
     /// Maximum number of cached evaluations; 0 disables the cache.
     std::size_t cache_capacity = std::size_t{1} << 16;
-    /// Memoise per fault-tree module in addition to per whole tree: on
-    /// a whole-tree miss, untouched modules replay from cache and only
-    /// the modules whose basic events the candidate move touched are
-    /// recompiled.  Off = whole-tree keying only (the PR-1 behaviour).
-    /// Never changes results — evaluation is modular either way.
-    bool modularize = true;
-    /// In analyze_batch, group candidates whose canonical trees are
-    /// shape-identical (rate-only variants) and evaluate each module for
-    /// all lanes of a group in ONE compilation + ONE batched multi-lambda
-    /// probability sweep.  Per-lane results are bitwise identical to
-    /// ungrouped evaluation.
-    bool batch_rate_variants = true;
-    /// Generate fault trees through per-thread component-fragment
-    /// builders (ftree::IncrementalTreeBuilder) instead of from scratch:
-    /// a candidate edit regenerates only the fragments whose model facts
-    /// changed, and a *repeat* composition — the steady state of a
-    /// trade-off sweep — reuses the finished canonical tree, hashes and
-    /// module decomposition by reference, constructing zero gates.
-    /// Never changes results: assembled trees are bitwise identical to
-    /// full rebuilds (docs/ftree.md gives the argument), so tree keys,
-    /// cache traffic and probabilities are unchanged at any thread
-    /// count.
-    bool incremental_ftree = true;
-    /// Cross-iteration / cross-branch candidate dedup: remember every
-    /// evaluated canonical tree (by the same key the eval cache uses) in
-    /// a non-evicting memo and serve repeats from it when the LRU cache
-    /// cannot — so a trade-off sweep's branches stop re-evaluating merged
-    /// shapes an earlier branch already scored, whatever the cache
-    /// capacity or eviction history.  A served value is the bitwise
-    /// EvalValue the evaluation produced, so results never change; hits
-    /// count as tree hits and additionally as "explore.dedup_hits".
-    bool candidate_dedup = true;
 };
 
 class EvalEngine {
@@ -121,14 +92,13 @@ public:
 
     /// The pool, for callers that parallelise more than the analysis
     /// itself (e.g. building the trial model inside the task).
-    [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
+    [[nodiscard]] core::ThreadPool& pool() noexcept { return pool_; }
 
     /// Everything the engine counts, in one snapshot.  `cache` is the
     /// raw lookup ledger (tree + module lookups combined); the engine
     /// counters split it by granularity: a tree hit ends the evaluation,
     /// a tree miss decomposes into modules, each of which hits (replayed
-    /// from a previous evaluation) or misses (recompiled).  With
-    /// modularize off the module counters stay zero.
+    /// from a previous evaluation) or misses (recompiled).
     ///
     /// The counters themselves live in the process-global obs registry
     /// (ids "engine.analyze_calls", "engine.tree_hits", ... — see
@@ -145,20 +115,16 @@ public:
         /// generation (explore::search_mapping reports them here so DSE
         /// accounting stays in one snapshot).
         std::uint64_t lint_rejections = 0;
-        /// Evaluations served by the non-evicting candidate memo after
-        /// an LRU miss ("explore.dedup_hits"); a subset of tree_hits.
-        /// Zero with candidate_dedup off or while the LRU never evicts.
-        std::uint64_t dedup_hits = 0;
-        /// Batched multi-lambda kernel view (zero with batching off):
-        /// shape-identical groups analyze_batch formed and the lanes
-        /// they carried ("engine.batch_groups" / "engine.batch_lanes").
+        /// Batched multi-lambda kernel view: shape-identical groups
+        /// analyze_batch formed and the lanes they carried
+        /// ("engine.batch_groups" / "engine.batch_lanes").
         std::uint64_t batch_groups = 0;
         std::uint64_t batch_lanes = 0;
-        /// Incremental tree generation view (zero with incremental_ftree
-        /// off): component fragments regenerated vs reused by the
-        /// per-thread builders ("ftree.fragment.built" /
-        /// "ftree.fragment.reused") and whole compositions served from
-        /// the finished-tree memo ("ftree.memo_hits").
+        /// Incremental tree generation view: component fragments
+        /// regenerated vs reused by the per-thread builders
+        /// ("ftree.fragment.built" / "ftree.fragment.reused") and whole
+        /// compositions served from the finished-tree memo
+        /// ("ftree.memo_hits").
         std::uint64_t fragments_built = 0;
         std::uint64_t fragments_reused = 0;
         std::uint64_t ftree_memo_hits = 0;
@@ -168,9 +134,6 @@ public:
     /// Adds to the lint-rejection counter; called by search layers that
     /// discard candidates before they reach analyze().
     void note_lint_rejections(std::uint64_t n) noexcept { lint_rejections_.add(n); }
-
-    [[nodiscard]] EvalCache::Stats cache_stats() const { return cache_.stats(); }
-    void clear_cache() { cache_.clear(); }
 
 private:
     /// One model through build -> canonical -> keys, the thread-safe
@@ -182,16 +145,14 @@ private:
         /// builders' composition memo (repeat candidates alias ONE
         /// immutable tree instead of each carrying a copy).
         std::shared_ptr<const ftree::FaultTree> canonical;
-        /// Module decomposition carried over from the incremental
-        /// builder; null on the full-rebuild path (finish/finish_group
-        /// then compute it locally, as before).
+        /// Module decomposition, shared with the builder's memo like
+        /// the canonical tree.
         std::shared_ptr<const ftree::ModuleDecomposition> modules;
         std::uint64_t tree_key = 0;
-        std::uint64_t shape_hash = 0;  ///< 0 unless grouping was requested
+        std::uint64_t shape_hash = 0;
     };
     [[nodiscard]] PreparedModel prepare(const ArchitectureModel& m,
-                                        const analysis::ProbabilityOptions& options,
-                                        bool want_shape);
+                                        const analysis::ProbabilityOptions& options);
     void finish(PreparedModel& p, const analysis::ProbabilityOptions& options);
     void finish_group(std::span<PreparedModel* const> lanes,
                       const analysis::ProbabilityOptions& options);
@@ -202,24 +163,11 @@ private:
     [[nodiscard]] bdd::ModuleEvaluator& evaluator_lane();
 
     /// The calling thread's incremental tree builder (created on first
-    /// use), or nullptr with incremental_ftree off — same lane pattern
-    /// as evaluator_lane().
-    [[nodiscard]] ftree::IncrementalTreeBuilder* ftree_lane();
+    /// use) — same lane pattern as evaluator_lane().
+    [[nodiscard]] ftree::IncrementalTreeBuilder& ftree_lane();
 
-    /// Candidate memo lookup/insert; no-ops (nullopt) with the feature
-    /// off.  Guarded by dedup_mutex_ — the memo sits behind the LRU, so
-    /// traffic is bounded by tree misses, not lookups.
-    [[nodiscard]] std::optional<EvalValue> dedup_lookup(std::uint64_t key);
-    void dedup_insert(std::uint64_t key, const EvalValue& value);
-
-    ThreadPool pool_;
+    core::ThreadPool pool_;
     EvalCache cache_;
-    bool modularize_;
-    bool batch_rate_variants_;
-    bool candidate_dedup_;
-    bool incremental_ftree_;
-    core::Mutex dedup_mutex_;
-    std::unordered_map<std::uint64_t, EvalValue> dedup_map_ GUARDED_BY(dedup_mutex_);
     // The lane maps are guarded; the lane OBJECTS the unique_ptrs own
     // are not — each is created once under the mutex and then used by
     // exactly one thread (its key), so pointees are thread-confined by
@@ -240,7 +188,6 @@ private:
     obs::Counter& module_hits_;
     obs::Counter& module_misses_;
     obs::Counter& lint_rejections_;
-    obs::Counter& dedup_hits_;
     obs::Counter& batch_groups_;
     obs::Counter& batch_lanes_;
     obs::Counter& fragments_built_;

@@ -7,8 +7,8 @@
 // probability thousands of times.  This cache keys evaluations at two
 // granularities (see engine.h): whole canonical trees
 // (ftree::FaultTree::structural_hash() mixed with the mission time) and
-// — when modularization is on — individual fault-tree modules
-// (ftree::Module::subtree_hash, salted apart from tree keys).  Either
+// individual fault-tree modules (ftree::Module::subtree_hash, salted
+// apart from tree keys).  Either
 // way a hit returns a bitwise-identical probability without touching
 // the BDD layer.
 //

@@ -69,8 +69,7 @@ struct ExplorationResult {
     /// Eval-cache counters over the whole run (hits/misses/evictions).
     engine::EvalCache::Stats engine_cache{};
     /// Full engine counters: analyze calls plus the tree/module hit-miss
-    /// split (module counters are zero when options.engine.modularize is
-    /// off).
+    /// split.
     engine::EvalEngine::Stats engine_stats{};
     /// Best front so far over the measured points (ascending cost).
     /// With options.front_tracker set, this is that tracker's front —
@@ -89,9 +88,9 @@ struct ExplorationResult {
 
 /// Same, but on a caller-owned engine: a sweep running the flow many
 /// times (strategy x metric configurations, rate studies) shares the
-/// pool, the evaluation cache AND the non-evicting candidate-dedup memo
-/// across its branches — identical intermediate states measured by
-/// different branches stop re-evaluating.  The result's engine counters
+/// pool, the evaluation cache and the per-thread tree builders across
+/// its branches — identical intermediate states measured by different
+/// branches replay from the cache while it holds them.  The result's engine counters
 /// cover the engine's whole lifetime, not just this call.
 [[nodiscard]] ExplorationResult run_exploration(const ArchitectureModel& model,
                                                 const std::vector<std::string>& nodes_to_expand,

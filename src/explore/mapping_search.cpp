@@ -361,7 +361,6 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
     result.module_cache_hits = stats_after.module_hits - stats_before.module_hits;
     result.module_cache_misses = stats_after.module_misses - stats_before.module_misses;
     result.lint_rejections = stats_after.lint_rejections - stats_before.lint_rejections;
-    result.dedup_hits = stats_after.dedup_hits - stats_before.dedup_hits;
     result.fragments_built = stats_after.fragments_built - stats_before.fragments_built;
     result.fragments_reused = stats_after.fragments_reused - stats_before.fragments_reused;
     result.ftree_memo_hits = stats_after.ftree_memo_hits - stats_before.ftree_memo_hits;

@@ -18,13 +18,13 @@
 // on_front_update.  Cross-branch merges are never candidates: they would
 // introduce the Common Cause Faults the CCF analysis rejects.
 //
-// Exactness contract: bound pruning, the lint pre-filter, the engine's
-// candidate dedup and its incremental component-fragment tree
-// generation (docs/ftree.md) only skip work that provably cannot change
-// the outcome — the searched model, every objective and the emitted
-// front are bitwise identical with each feature on or off, at any
-// thread count (docs/explore.md gives the arguments; the tests in
-// tests/test_mapping_search.cpp enforce them at threads 1/2/4/8).
+// Exactness contract: bound pruning and the lint pre-filter only skip
+// work that provably cannot change the outcome — the searched model,
+// every objective and the emitted front are bitwise identical with each
+// feature on or off, at any thread count (docs/explore.md gives the
+// arguments; the tests in tests/test_mapping_search.cpp enforce them at
+// threads 1/2/4/8, and tests/test_search_golden.cpp pins whole searches
+// to a fixture).
 #pragma once
 
 #include <cstddef>
@@ -111,8 +111,7 @@ struct MappingSearchResult {
     /// candidate without recompiling anything.
     std::uint64_t eval_cache_hits = 0;
     std::uint64_t eval_cache_misses = 0;
-    /// Per-module cache counters (zero when options.engine.modularize is
-    /// off): within the eval_cache_misses above, module hits are regions
+    /// Per-module cache counters: within the eval_cache_misses above, module hits are regions
     /// replayed from earlier candidates, module misses are the regions
     /// actually recompiled.
     std::uint64_t module_cache_hits = 0;
@@ -123,12 +122,7 @@ struct MappingSearchResult {
     /// Candidates pruned by the bound check without any fault-tree/BDD
     /// work (0 when options.bound_pruning is off).
     std::uint64_t bound_rejections = 0;
-    /// Evaluations the engine served from its non-evicting candidate
-    /// memo after an LRU miss (subset of eval_cache_hits; 0 with
-    /// options.engine.candidate_dedup off).
-    std::uint64_t dedup_hits = 0;
-    /// Incremental fault-tree generation counters (zero with
-    /// options.engine.incremental_ftree off): component fragments the
+    /// Incremental fault-tree generation counters: component fragments the
     /// per-thread builders regenerated vs reused by reference, and
     /// candidate trees served whole from the finished-composition memo
     /// (those construct zero gates).  Scheduling-dependent at threads
@@ -166,7 +160,7 @@ MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOpti
 
 /// Same, but on a caller-owned engine: repeated searches (e.g. across a
 /// tradeoff sweep) share the pool, the evaluation cache and the
-/// candidate-dedup memo.  The result's eval counters cover only this
+/// per-thread tree builders.  The result's eval counters cover only this
 /// call.
 MappingSearchResult search_mapping(ArchitectureModel& m, const MappingSearchOptions& options,
                                    engine::EvalEngine& engine);

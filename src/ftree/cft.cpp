@@ -175,14 +175,12 @@ IncrementalTreeBuilder::Prepared IncrementalTreeBuilder::prepare(const Architect
     }
     p.modules = std::make_shared<const ModuleDecomposition>(find_modules(*p.canonical));
 
-    if (options_.memo_capacity > 0) {
-        while (memo_.size() >= options_.memo_capacity && !memo_order_.empty()) {
-            memo_.erase(memo_order_.front());
-            memo_order_.pop_front();
-        }
-        memo_.emplace(composition, p);
-        memo_order_.push_back(composition);
+    while (memo_.size() >= kMemoCapacity) {
+        memo_.erase(memo_order_.front());
+        memo_order_.pop_front();
     }
+    memo_.emplace(composition, p);
+    memo_order_.push_back(composition);
     return p;
 }
 

@@ -18,14 +18,15 @@
 // fingerprint of the whole fragment composition keys a cache of
 // finished (canonical tree, hashes, module decomposition) bundles, so a
 // *repeat* candidate — the steady state of a trade-off sweep, where the
-// engine's LRU would score it from cache but still paid O(tree) to
-// rebuild and canonicalise the tree first — skips generation entirely.
+// engine's FIFO eval cache would score it from cache but still paid
+// O(tree) to rebuild and canonicalise the tree first — skips generation
+// entirely.
 //
-// Exactness contract: with incremental generation on, assembled trees,
-// canonical forms, structural hashes and module decompositions are
-// bitwise identical to full rebuilds (tests/test_cft.cpp), and DSE
-// results and Pareto fronts are bitwise identical at any thread count
-// (tests/test_mapping_search.cpp).  docs/ftree.md gives the argument.
+// Exactness contract: assembled trees, canonical forms, structural
+// hashes and module decompositions are bitwise identical to full rebuilds
+// (tests/test_cft.cpp), and DSE results and Pareto fronts are bitwise
+// identical at any thread count (tests/test_mapping_search.cpp).
+// docs/ftree.md gives the argument.
 #pragma once
 
 #include <cstdint>
@@ -103,15 +104,12 @@ struct ComponentFragment {
 /// BDD module workspaces.
 class IncrementalTreeBuilder {
 public:
-    struct Options {
-        /// Composition-memo entries kept (FIFO).  Each entry holds one
-        /// canonical tree + module decomposition, so this bounds memory,
-        /// not correctness.  Sized to hold a trade-off sweep's full
-        /// candidate working set (typically several hundred distinct
-        /// compositions); FIFO eviction degrades sharply once the set
-        /// cycles past capacity.
-        std::size_t memo_capacity = 1024;
-    };
+    /// Composition-memo entries kept (FIFO).  Each entry holds one
+    /// canonical tree + module decomposition, so this bounds memory, not
+    /// correctness.  Sized to hold a trade-off sweep's full candidate
+    /// working set (typically several hundred distinct compositions);
+    /// FIFO eviction degrades sharply once the set cycles past capacity.
+    static constexpr std::size_t kMemoCapacity = 1024;
 
     /// Everything the engine needs from tree generation, shareable by
     /// reference across repeat candidates.
@@ -133,9 +131,6 @@ public:
         bool memo_hit = false;
     };
 
-    IncrementalTreeBuilder() = default;
-    explicit IncrementalTreeBuilder(Options options) : options_(options) {}
-
     /// One candidate through the incremental pipeline.  Emits the
     /// "assemble" span and the ftree.fragment.{built,reused} /
     /// ftree.memo_hits counters.
@@ -144,7 +139,6 @@ public:
     [[nodiscard]] const PassStats& last_pass() const noexcept { return last_; }
 
 private:
-    Options options_{};
     /// Node id -> last-assembled fragment; regenerated when the key
     /// drifts from the current model's.
     std::unordered_map<std::uint32_t, ComponentFragment> fragments_;

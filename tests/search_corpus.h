@@ -17,8 +17,9 @@
 // arena growth on a shared manager before the per-module workspace and
 // counts the nodes each module evaluation creates since (see
 // tests/test_search_golden.cpp, which checks it against the engine-free
-// path instead).  The digests depend on the standard library's
-// distributions and libm, so the fixture holds for one toolchain family.
+// path, engine_free_result below, instead).  The digests depend on the
+// standard library's distributions and libm, so the fixture holds for
+// one toolchain family.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,14 @@
 #include <vector>
 
 #include "analysis/probability.h"
+#include "bdd/from_fault_tree.h"
 #include "core/hash.h"
 #include "engine/engine.h"
 #include "explore/driver.h"
 #include "explore/mapping_search.h"
+#include "ftree/builder.h"
+#include "ftree/fault_tree.h"
+#include "ftree/modules.h"
 #include "io/model_json.h"
 #include "model/architecture.h"
 #include "scenarios/ecotwin.h"
@@ -241,6 +246,42 @@ inline std::vector<std::string> rate_group_digest_lines(const RateGroupCase& g) 
                         " stats=" + hex(stats));
     }
     return lines;
+}
+
+/// The engine-free modular evaluation the engine must reproduce field
+/// for field: a full build_fault_tree rebuild, canonicalize, find_modules
+/// and bdd::evaluate_module on fresh managers — no caches, no per-thread
+/// builders or workspaces.
+inline analysis::ProbabilityResult engine_free_result(const ArchitectureModel& m,
+                                                      const analysis::ProbabilityOptions& options) {
+    ftree::FtBuildOptions build_options;
+    build_options.approximate = options.approximate;
+    build_options.include_location_events = options.include_location_events;
+    build_options.rates = options.rates;
+    ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
+    analysis::ProbabilityResult r;
+    r.ft_stats = built.tree.stats();
+    r.approximated_blocks = built.approximated_blocks;
+    r.cycles_cut = built.cycles_cut;
+    r.warnings = std::move(built.warnings);
+    const ftree::FaultTree canon = ftree::canonicalize(built.tree).tree;
+    const ftree::ModuleDecomposition dec = ftree::find_modules(canon);
+    std::vector<double> module_prob(dec.size());
+    for (std::size_t i = 0; i < dec.size(); ++i) {
+        std::vector<double> child_probs;
+        for (const std::uint32_t child : dec.modules[i].child_modules) {
+            child_probs.push_back(module_prob[child]);
+        }
+        const bdd::ModuleEvalResult e =
+            bdd::evaluate_module(canon, dec, i, child_probs, options.mission_hours);
+        module_prob[i] = e.probability;
+        r.bdd_nodes += e.bdd_nodes;
+        r.bdd_total_nodes += e.bdd_total_nodes;
+        r.variables += e.variables;
+    }
+    r.modules = dec.size();
+    r.failure_probability = module_prob.back();
+    return r;
 }
 
 #ifdef ASILKIT_SOURCE_DIR

@@ -1,8 +1,8 @@
-// Long-lived manager tests: mark-and-compact collection (pin contract,
-// unique-table rebuild, memo invalidation), the batched multi-lambda
-// probability kernel (bitwise vs sequential, property vs brute force),
-// the forced-collision regression for the probability memo, reset(), and
-// the reused ModuleEvaluator workspace against fresh evaluations.
+// Long-lived manager tests: variable-order widening, the batched
+// multi-lambda probability kernel (bitwise vs sequential, property vs
+// brute force), the forced-collision regression for the probability
+// memo, reset(), and the reused ModuleEvaluator workspace against fresh
+// evaluations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,96 +42,7 @@ ftree::FaultTree scale_rates(const ftree::FaultTree& ft, double factor) {
     return out;
 }
 
-// ---- generational collection ------------------------------------------------
-
-TEST(BddGc, CollectCompactsAndPreservesPinnedRoots) {
-    BddManager mgr(6);
-    const BddRef f = mgr.apply_or(mgr.apply_and(mgr.variable(0), mgr.variable(1)),
-                                  mgr.apply_and(mgr.variable(2), mgr.variable(3)));
-    const std::vector<double> p{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
-    const double prob_before = mgr.probability(f, p);
-    const std::size_t f_nodes = mgr.node_count(f);
-    const BddManager::PinId pin = mgr.pin(f);
-
-    // Unpinned garbage: dies at the next collection.
-    (void)mgr.apply_or(mgr.apply_and(mgr.variable(4), mgr.variable(5)), mgr.variable(0));
-    (void)mgr.apply_and(mgr.variable(3), mgr.variable(5));
-
-    const std::size_t size_before = mgr.size();
-    const BddManager::GcResult gc = mgr.collect();
-    EXPECT_EQ(gc.live_nodes + gc.freed_nodes, size_before);
-    EXPECT_GT(gc.freed_nodes, 0u);
-    EXPECT_EQ(mgr.size(), gc.live_nodes);
-    EXPECT_EQ(mgr.gc_collections(), 1u);
-
-    const BddRef f2 = mgr.pinned(pin);
-    EXPECT_EQ(mgr.node_count(f2), f_nodes);
-    // The probability memo was dropped at collection (node numbering
-    // changed); the recomputed value must be bitwise what it was.
-    EXPECT_EQ(mgr.probability(f2, p), prob_before);
-
-    // Only the pinned subgraph survived: the arena is exactly as large
-    // as a fresh manager's reachable set for the same function.
-    BddManager fresh(6);
-    const BddRef g = fresh.apply_or(fresh.apply_and(fresh.variable(0), fresh.variable(1)),
-                                    fresh.apply_and(fresh.variable(2), fresh.variable(3)));
-    EXPECT_EQ(mgr.size(), fresh.node_count(g));
-
-    mgr.unpin(pin);
-    EXPECT_THROW((void)mgr.pinned(pin), AnalysisError);
-}
-
-TEST(BddGc, UniqueTableRebuildKeepsHashConsing) {
-    BddManager mgr(4);
-    const BddRef f = mgr.apply_or(mgr.apply_and(mgr.variable(0), mgr.variable(1)),
-                                  mgr.variable(2));
-    const BddManager::PinId pin = mgr.pin(f);
-    (void)mgr.apply_and(mgr.variable(2), mgr.variable(3));  // garbage
-    (void)mgr.collect();
-    // Re-deriving the pinned function must hash-cons onto the surviving
-    // (renumbered) nodes, not allocate duplicates.
-    const std::size_t size_after_gc = mgr.size();
-    const BddRef rebuilt = mgr.apply_or(mgr.apply_and(mgr.variable(0), mgr.variable(1)),
-                                        mgr.variable(2));
-    EXPECT_EQ(rebuilt, mgr.pinned(pin));
-    // The derivation allocates only the build intermediates that died at
-    // the collection (standalone leaves, the bare AND) — everything in
-    // the pinned subgraph is found in the rebuilt unique table, so a
-    // second collection is back to exactly the pinned subgraph.
-    const BddManager::GcResult again = mgr.collect();
-    EXPECT_EQ(again.live_nodes, size_after_gc);
-    EXPECT_EQ(mgr.size(), size_after_gc);
-}
-
-TEST(BddGc, PinTicketsRecycleAndValidate) {
-    BddManager mgr(2);
-    const BddManager::PinId a = mgr.pin(mgr.variable(0));
-    const BddManager::PinId b = mgr.pin(mgr.variable(1));
-    EXPECT_NE(a, b);
-    mgr.unpin(a);
-    const BddManager::PinId c = mgr.pin(kTrue);  // pinning a terminal is legal
-    EXPECT_EQ(c, a);                             // free-list recycling
-    EXPECT_EQ(mgr.pinned(c), kTrue);
-    EXPECT_THROW(mgr.unpin(99), AnalysisError);
-    mgr.unpin(b);
-    mgr.unpin(c);
-}
-
-TEST(BddGc, ThresholdPollingContract) {
-    BddManager mgr(8);
-    EXPECT_FALSE(mgr.gc_due());  // 0 disables the trigger
-    mgr.set_gc_threshold(4);
-    EXPECT_EQ(mgr.gc_threshold(), 4u);
-    BddRef acc = mgr.variable(0);
-    for (std::uint32_t v = 1; v < 8; ++v) acc = mgr.apply_or(acc, mgr.variable(v));
-    EXPECT_TRUE(mgr.gc_due());
-    const BddManager::PinId pin = mgr.pin(acc);
-    (void)mgr.collect();
-    // The OR chain is all live, so compaction cannot get under the
-    // threshold here — gc_due() keeps reporting, collect() still works.
-    EXPECT_EQ(mgr.size(), mgr.node_count(mgr.pinned(pin)));
-    mgr.unpin(pin);
-}
+// ---- variable-order widening -----------------------------------------------
 
 TEST(BddGc, EnsureVariablesWidensWithoutDisturbingDiagrams) {
     BddManager mgr(2);
@@ -395,7 +306,6 @@ TEST(BddManagerReset, BehavesLikeAFreshManager) {
     for (std::uint32_t v = 0; v + 1 < 40; v += 2) {
         big = reused.apply_or(big, reused.apply_and(reused.variable(v), reused.variable(v + 1)));
     }
-    (void)reused.pin(big);
     ASSERT_GT(reused.size(), 20u);
 
     const auto build = [](BddManager& m) {
@@ -414,7 +324,6 @@ TEST(BddManagerReset, BehavesLikeAFreshManager) {
     EXPECT_EQ(reused.probability(r, p), fresh.probability(f, p));
     const std::vector<ProbVector> lanes{p};
     EXPECT_EQ(reused.probability_batch(r, lanes), fresh.probability_batch(f, lanes));
-    EXPECT_THROW((void)reused.pinned(0), AnalysisError) << "reset drops every pin";
 }
 
 }  // namespace

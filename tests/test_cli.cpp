@@ -563,7 +563,8 @@ TEST_F(CliTest, TraceAndMetricsOptionsWriteFiles) {
     const std::string t = trace_buf.str();
     EXPECT_NE(t.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(t.find("\"ph\":\"B\""), std::string::npos);
-    EXPECT_NE(t.find("build_fault_tree"), std::string::npos);
+    // analyze generates its tree through the engine's incremental builder.
+    EXPECT_NE(t.find("\"assemble\""), std::string::npos);
 
     std::ifstream metrics_in(metrics);
     ASSERT_TRUE(metrics_in.good());
@@ -704,6 +705,56 @@ TEST_F(CliTest, NumericOptionsRefuseNonPositiveAndNonFinite) {
     // Positive finite values in any spelling are accepted.
     EXPECT_EQ(run({"analyze", model(), "--hours", "2.5e1"}).exit_code, 0);
     EXPECT_EQ(run({"simulate", model(), "--trials", "1000", "--rate-scale", "10"}).exit_code, 0);
+}
+
+TEST_F(CliTest, UnknownOptionsAreRefused) {
+    // An unknown --key used to take the next token as its value: this ran
+    // with the default mission time, exit 0, "over 1 h".
+    const CliRun bogus = run({"analyze", model(), "--bogus-flag", "--hours", "10"});
+    EXPECT_EQ(bogus.exit_code, 2);
+    EXPECT_NE(bogus.err.find("invalid option: --bogus-flag"), std::string::npos) << bogus.err;
+    EXPECT_EQ(bogus.out.find("P(system failure)"), std::string::npos);
+    // Retired flags are unknown like any other.
+    for (const char* command : {"search", "stats"}) {
+        const CliRun r = run({command, model(), "--no-incremental-ftree", "--threads", "4"});
+        EXPECT_EQ(r.exit_code, 2) << command;
+        EXPECT_NE(r.err.find("invalid option: --no-incremental-ftree"), std::string::npos)
+            << command << ": " << r.err;
+    }
+}
+
+TEST_F(CliTest, IntegerOptionsAcceptOnlyWholeNumbersInRange) {
+    // Each used to be read by a bare std::stoul/stoull: "12abc" ran 12
+    // trials and "2x" two threads, both with exit 0.
+    const std::vector<std::vector<std::string>> refused = {
+        {"simulate", model(), "--trials", "12abc"},
+        {"simulate", model(), "--trials", "1000", "--threads", "2x"},
+        {"simulate", model(), "--trials", ""},
+        {"simulate", model(), "--trials", "0"},
+        {"simulate", model(), "--trials", "1000", "--seed", "99999999999999999999999"},
+        {"simulate", model(), "--trials", "1000", "--block", " 64"},
+        {"simulate", model(), "--trials", "1000", "--is", "--is-max-order", "+2"},
+        {"search", model(), "--max-nodes", "-3"},
+        {"search", model(), "--threads", "4294967296"},
+        {"tolerance", model(), "--max-order", "2.5"},
+        {"advise", model(), "--branches", "0x2"},
+        {"analyze", model(), "--sample-out", temp_path("ts.json"), "--sample-period", "0"},
+        {"analyze", model(), "--sample-out", temp_path("ts.json"), "--sample-capacity", "1e3"},
+    };
+    for (const std::vector<std::string>& args : refused) {
+        const CliRun r = run(args);
+        const std::string what =
+            args.front() + " " + args[args.size() - 2] + " '" + args.back() + "'";
+        EXPECT_EQ(r.exit_code, 2) << what;
+        EXPECT_NE(r.err.find("invalid option: " + args[args.size() - 2]), std::string::npos)
+            << what << ": " << r.err;
+    }
+    // Whole numbers in range are accepted, up to the type's maximum.
+    EXPECT_EQ(run({"simulate", model(), "--trials", "1000", "--seed", "18446744073709551615",
+                   "--threads", "2", "--block", "4096"})
+                  .exit_code,
+              0);
+    EXPECT_EQ(run({"tolerance", model(), "--max-order", "2"}).exit_code, 0);
 }
 
 TEST_F(CliTest, DeeplyNestedModelIsRefusedWithoutCrashing) {

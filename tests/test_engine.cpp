@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "analysis/probability.h"
+#include "core/thread_pool.h"
 #include "engine/eval_cache.h"
-#include "engine/thread_pool.h"
 #include "explore/driver.h"
 #include "explore/mapping_search.h"
 #include "ftree/fault_tree.h"
@@ -30,7 +30,7 @@ namespace {
 // ---- thread pool -----------------------------------------------------------
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-    engine::ThreadPool pool(4);
+    core::ThreadPool pool(4);
     EXPECT_EQ(pool.thread_count(), 4u);
     constexpr std::size_t kCount = 1000;
     std::vector<std::atomic<int>> seen(kCount);
@@ -39,7 +39,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {
-    engine::ThreadPool pool(1);
+    core::ThreadPool pool(1);
     EXPECT_EQ(pool.thread_count(), 1u);
     std::vector<std::size_t> order;
     pool.parallel_for(5, [&](std::size_t i) { order.push_back(i); });
@@ -47,7 +47,7 @@ TEST(ThreadPool, SingleThreadRunsInline) {
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
-    engine::ThreadPool pool(3);
+    core::ThreadPool pool(3);
     for (int round = 0; round < 50; ++round) {
         std::atomic<std::size_t> sum{0};
         pool.parallel_for(17, [&](std::size_t i) { sum.fetch_add(i); });
@@ -56,7 +56,7 @@ TEST(ThreadPool, ReusableAcrossBatches) {
 }
 
 TEST(ThreadPool, PropagatesTaskExceptions) {
-    engine::ThreadPool pool(4);
+    core::ThreadPool pool(4);
     EXPECT_THROW(pool.parallel_for(100,
                                    [&](std::size_t i) {
                                        if (i == 42) throw AnalysisError("boom");
@@ -71,7 +71,7 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
 TEST(ThreadPool, SerialPathDrainsBatchBeforeRethrow) {
     // The inline single-thread path must match the parallel path: a
     // throwing task never skips the remaining indices.
-    engine::ThreadPool pool(1);
+    core::ThreadPool pool(1);
     std::vector<int> ran(5, 0);
     EXPECT_THROW(pool.parallel_for(5,
                                    [&](std::size_t i) {
@@ -83,7 +83,7 @@ TEST(ThreadPool, SerialPathDrainsBatchBeforeRethrow) {
 }
 
 TEST(ThreadPool, SerialPathRethrowsFirstOfSeveralExceptions) {
-    engine::ThreadPool pool(1);
+    core::ThreadPool pool(1);
     try {
         pool.parallel_for(5, [&](std::size_t i) {
             if (i == 1 || i == 3) throw AnalysisError("task " + std::to_string(i));
@@ -257,7 +257,7 @@ TEST(EvalEngine, MissionTimeIsPartOfTheKey) {
     const double p1 = engine.analyze(m, one_hour).failure_probability;
     const double p10 = engine.analyze(m, ten_hours).failure_probability;
     EXPECT_GT(p10, p1);  // a cache mixup would return p1 again
-    EXPECT_EQ(engine.cache_stats().hits, 0u);
+    EXPECT_EQ(engine.stats().cache.hits, 0u);
 }
 
 // ---- determinism: thread count never changes results -----------------------
@@ -384,32 +384,39 @@ TEST(MappingSearch, ReportsCacheCounters) {
 // ---- modularization --------------------------------------------------------
 
 TEST(Modularize, ToggleNeverChangesSearchResults) {
-    // The flag only changes caching granularity; evaluation is modular
-    // either way, so the whole search must be bitwise identical — model
-    // included — with modularize on and off, at any thread count.
+    // Module-granular caching only decides which modules recompile;
+    // evaluation is modular either way.  A cached 4-thread search (module
+    // replays on) must match an uncached 1-thread search (every module
+    // recompiled) bitwise — model included — and both objectives of the
+    // searched model must match the engine-free modular reference.
     ArchitectureModel base = scenarios::chain_n_stages(3);
     for (const char* n : {"f1", "f2", "f3"}) transform::expand(base, base.find_app_node(n));
 
-    ArchitectureModel off_model = base;
-    explore::MappingSearchOptions off;
-    off.engine = {.threads = 1, .cache_capacity = 1 << 12, .modularize = false};
-    const auto r_off = explore::search_mapping(off_model, off);
+    ArchitectureModel uncached_model = base;
+    explore::MappingSearchOptions uncached;
+    uncached.engine = {.threads = 1, .cache_capacity = 0};
+    const auto r_uncached = explore::search_mapping(uncached_model, uncached);
 
-    ArchitectureModel on_model = base;
-    explore::MappingSearchOptions on;
-    on.engine = {.threads = 4, .cache_capacity = 1 << 12, .modularize = true};
-    const auto r_on = explore::search_mapping(on_model, on);
+    ArchitectureModel cached_model = base;
+    explore::MappingSearchOptions cached;
+    cached.engine = {.threads = 4, .cache_capacity = 1 << 12};
+    const auto r_cached = explore::search_mapping(cached_model, cached);
 
-    EXPECT_EQ(r_off.probability_after, r_on.probability_after);  // bitwise
-    EXPECT_EQ(r_off.probability_before, r_on.probability_before);
-    EXPECT_EQ(r_off.cost_after, r_on.cost_after);
-    EXPECT_EQ(r_off.merges, r_on.merges);
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(on_model).dump());
+    EXPECT_EQ(r_uncached.probability_after, r_cached.probability_after);  // bitwise
+    EXPECT_EQ(r_uncached.probability_before, r_cached.probability_before);
+    EXPECT_EQ(r_uncached.cost_after, r_cached.cost_after);
+    EXPECT_EQ(r_uncached.merges, r_cached.merges);
+    EXPECT_EQ(io::to_json(uncached_model).dump(), io::to_json(cached_model).dump());
+    EXPECT_EQ(r_cached.probability_before,
+              testing::engine_free_result(base, cached.probability).failure_probability);
+    EXPECT_EQ(r_cached.probability_after,
+              testing::engine_free_result(cached_model, cached.probability).failure_probability);
 
-    // Counter contract: off keeps the module counters at zero, on splits
-    // every tree miss into module hits + misses.
-    EXPECT_EQ(r_off.module_cache_hits + r_off.module_cache_misses, 0u);
-    EXPECT_GT(r_on.module_cache_misses, 0u);
+    // Counter contract: every tree miss splits into module hits + misses;
+    // without a cache no module ever replays.
+    EXPECT_GT(r_cached.module_cache_misses, 0u);
+    EXPECT_GT(r_uncached.module_cache_misses, 0u);
+    EXPECT_EQ(r_uncached.module_cache_hits, 0u);
 }
 
 TEST(Modularize, UntouchedModulesReplayAcrossVariants) {
@@ -426,7 +433,7 @@ TEST(Modularize, UntouchedModulesReplayAcrossVariants) {
     const ResourceId act_res = variant.mapped_resources(variant.find_app_node("act")).front();
     variant.resources().node(act_res).lambda_override = 2e-9;
 
-    engine::EvalEngine engine({.threads = 1, .cache_capacity = 1 << 12, .modularize = true});
+    engine::EvalEngine engine({.threads = 1, .cache_capacity = 1 << 12});
     analysis::ProbabilityOptions options;
     options.include_location_events = false;
 
@@ -455,36 +462,33 @@ TEST(Modularize, UntouchedModulesReplayAcrossVariants) {
 TEST(Persistence, ToggleNeverChangesSearchResults) {
     // The per-thread BDD workspace, the caches and batch grouping only
     // change where BDD nodes live and how often modules are recompiled —
-    // the whole search must be bitwise identical with caching and
-    // grouping off and on, at any thread count.
+    // a 1-thread search (every chunk's shape groups formed and evaluated
+    // on one workspace) and a 4-thread search on a caller-owned engine
+    // must be bitwise identical, and both match the engine-free
+    // reference.
     ArchitectureModel base = scenarios::chain_n_stages(3);
     for (const char* n : {"f1", "f2", "f3"}) transform::expand(base, base.find_app_node(n));
 
-    ArchitectureModel off_model = base;
-    explore::MappingSearchOptions off;
-    off.engine = {.threads = 1, .cache_capacity = 1 << 12, .batch_rate_variants = false};
-    const auto r_off = explore::search_mapping(off_model, off);
+    ArchitectureModel serial_model = base;
+    explore::MappingSearchOptions serial;
+    serial.engine = {.threads = 1, .cache_capacity = 1 << 12};
+    const auto r_serial = explore::search_mapping(serial_model, serial);
 
-    ArchitectureModel mid_model = base;
-    explore::MappingSearchOptions mid;  // grouping off
-    mid.engine = {.threads = 4, .cache_capacity = 1 << 12, .batch_rate_variants = false};
-    const auto r_mid = explore::search_mapping(mid_model, mid);
+    ArchitectureModel parallel_model = base;
+    explore::MappingSearchOptions parallel;
+    parallel.engine = {.threads = 4, .cache_capacity = 1 << 12};
+    engine::EvalEngine parallel_engine(parallel.engine);
+    const auto r_parallel = explore::search_mapping(parallel_model, parallel, parallel_engine);
 
-    ArchitectureModel on_model = base;
-    explore::MappingSearchOptions on;  // defaults: batching on
-    on.engine = {.threads = 4, .cache_capacity = 1 << 12};
-    engine::EvalEngine on_engine(on.engine);
-    const auto r_on = explore::search_mapping(on_model, on, on_engine);
-
-    for (const auto* r : {&r_mid, &r_on}) {
-        EXPECT_EQ(r_off.probability_before, r->probability_before);  // bitwise
-        EXPECT_EQ(r_off.probability_after, r->probability_after);
-        EXPECT_EQ(r_off.cost_after, r->cost_after);
-        EXPECT_EQ(r_off.merges, r->merges);
-        EXPECT_EQ(r_off.iterations, r->iterations);
-    }
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(mid_model).dump());
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(on_model).dump());
+    EXPECT_EQ(r_serial.probability_before, r_parallel.probability_before);  // bitwise
+    EXPECT_EQ(r_serial.probability_after, r_parallel.probability_after);
+    EXPECT_EQ(r_serial.cost_after, r_parallel.cost_after);
+    EXPECT_EQ(r_serial.merges, r_parallel.merges);
+    EXPECT_EQ(r_serial.iterations, r_parallel.iterations);
+    EXPECT_EQ(io::to_json(serial_model).dump(), io::to_json(parallel_model).dump());
+    EXPECT_EQ(r_parallel.probability_after,
+              testing::engine_free_result(parallel_model, parallel.probability)
+                  .failure_probability);
 
     // Golden comparison: multi-threaded searches reproduce the digests
     // recorded before the workspace replaced the persistent compiler.
@@ -499,22 +503,25 @@ TEST(Persistence, ForcedCollectionsStillExact) {
     // No eval cache: every module of every candidate is compiled in the
     // per-thread workspaces, which reset between modules of all sizes;
     // probabilities, the selected mapping and the final model must match
-    // the single-threaded, ungrouped search.
-    ArchitectureModel off_model = scenarios::chain_n_stages(5);
-    explore::MappingSearchOptions off;
-    off.engine = {.threads = 1, .cache_capacity = 0, .batch_rate_variants = false};
-    const auto r_off = explore::search_mapping(off_model, off);
+    // the single-threaded search, and the engine-free reference.
+    ArchitectureModel serial_model = scenarios::chain_n_stages(5);
+    explore::MappingSearchOptions serial;
+    serial.engine = {.threads = 1, .cache_capacity = 0};
+    const auto r_serial = explore::search_mapping(serial_model, serial);
 
-    ArchitectureModel gc_model = scenarios::chain_n_stages(5);
-    explore::MappingSearchOptions gc;
-    gc.engine = {.threads = 2, .cache_capacity = 0};
-    engine::EvalEngine gc_engine(gc.engine);
-    const auto r_gc = explore::search_mapping(gc_model, gc, gc_engine);
+    ArchitectureModel parallel_model = scenarios::chain_n_stages(5);
+    explore::MappingSearchOptions parallel;
+    parallel.engine = {.threads = 2, .cache_capacity = 0};
+    engine::EvalEngine parallel_engine(parallel.engine);
+    const auto r_parallel = explore::search_mapping(parallel_model, parallel, parallel_engine);
 
-    EXPECT_EQ(r_off.probability_after, r_gc.probability_after);  // bitwise
-    EXPECT_EQ(r_off.cost_after, r_gc.cost_after);
-    EXPECT_EQ(r_off.merges, r_gc.merges);
-    EXPECT_EQ(io::to_json(off_model).dump(), io::to_json(gc_model).dump());
+    EXPECT_EQ(r_serial.probability_after, r_parallel.probability_after);  // bitwise
+    EXPECT_EQ(r_serial.cost_after, r_parallel.cost_after);
+    EXPECT_EQ(r_serial.merges, r_parallel.merges);
+    EXPECT_EQ(io::to_json(serial_model).dump(), io::to_json(parallel_model).dump());
+    EXPECT_EQ(r_parallel.probability_after,
+              testing::engine_free_result(parallel_model, parallel.probability)
+                  .failure_probability);
 
     // Golden comparison: uncached single-threaded searches reproduce the
     // digests recorded before the workspace replaced the persistent
@@ -530,7 +537,8 @@ TEST(BatchRateVariants, GroupsLanesAndMatchesSoloAnalysis) {
     // Rate-only variants of one architecture: identical canonical shape,
     // distinct tree keys.  analyze_batch must collapse them onto one
     // shape group, push the modules through the multi-lambda kernel, and
-    // reproduce the solo (ungrouped) probabilities bitwise.
+    // reproduce the solo probabilities (analyze() never groups) and the
+    // engine-free reference bitwise.
     const ArchitectureModel base = scenarios::chain_n_stages(4);
     std::vector<ArchitectureModel> variants;
     for (int v = 0; v < 4; ++v) {
@@ -542,9 +550,7 @@ TEST(BatchRateVariants, GroupsLanesAndMatchesSoloAnalysis) {
     analysis::ProbabilityOptions options;
     options.include_location_events = false;
 
-    engine::EvalEngine solo({.threads = 1,
-                             .cache_capacity = 0,
-                             .batch_rate_variants = false});
+    engine::EvalEngine solo({.threads = 1, .cache_capacity = 0});
     std::vector<double> expected;
     expected.reserve(variants.size());
     for (const ArchitectureModel& m : variants) {
@@ -559,6 +565,9 @@ TEST(BatchRateVariants, GroupsLanesAndMatchesSoloAnalysis) {
     ASSERT_EQ(results.size(), variants.size());
     for (std::size_t i = 0; i < variants.size(); ++i) {
         EXPECT_EQ(results[i].failure_probability, expected[i]) << "lane " << i;  // bitwise
+        EXPECT_EQ(results[i].failure_probability,
+                  testing::engine_free_result(variants[i], options).failure_probability)
+            << "lane " << i;
     }
 
     const auto stats = batched.stats();
@@ -567,10 +576,12 @@ TEST(BatchRateVariants, GroupsLanesAndMatchesSoloAnalysis) {
 }
 
 TEST(ExplorationPersistence, CurveIdenticalWithPersistenceOff) {
+    // The default strategy's exploration, uncached on one thread vs cached
+    // on four (the BB/RND strategies run in ExplorationDeterminism).
     explore::ExplorationOptions off;
     off.rng_seed = 1234;
     off.probability.approximate = true;
-    off.engine = {.threads = 1, .cache_capacity = 0, .batch_rate_variants = false};
+    off.engine = {.threads = 1, .cache_capacity = 0};
 
     explore::ExplorationOptions on = off;
     on.engine = {.threads = 4, .cache_capacity = 1 << 12};
@@ -603,34 +614,27 @@ TEST(IncrementalFtree, AnalyzeMatchesFullRebuildAndMemoisesRepeats) {
         analysis::ProbabilityOptions options;
         options.approximate = approximate;
 
-        // The full-rebuild engine runs (and snapshots its registry
-        // deltas) first: the counters are process-global, so its view
-        // must close before the incremental engine adds to them.
-        engine::EngineOptions off_options{.threads = 1};
-        off_options.incremental_ftree = false;
-        engine::EvalEngine off(off_options);
-        const analysis::ProbabilityResult r_off = off.analyze(m, options);
-        const engine::EvalEngine::Stats off_stats = off.stats();
-        EXPECT_EQ(off_stats.fragments_built, 0u);
-        EXPECT_EQ(off_stats.fragments_reused, 0u);
-        EXPECT_EQ(off_stats.ftree_memo_hits, 0u);
-
-        engine::EvalEngine on({.threads = 1});
-        const analysis::ProbabilityResult r_on = on.analyze(m, options);
-        EXPECT_EQ(r_on.failure_probability, r_off.failure_probability);  // bitwise
-        EXPECT_EQ(r_on.ft_stats.gates, r_off.ft_stats.gates);
-        EXPECT_EQ(r_on.ft_stats.basic_events, r_off.ft_stats.basic_events);
-        EXPECT_EQ(r_on.warnings, r_off.warnings);
-        EXPECT_EQ(r_on.approximated_blocks, r_off.approximated_blocks);
+        // The engine's incremental tree builder against a full
+        // build_fault_tree rebuild on the engine-free path, field for
+        // field.
+        engine::EvalEngine engine({.threads = 1});
+        const analysis::ProbabilityResult first = engine.analyze(m, options);
+        const analysis::ProbabilityResult full = testing::engine_free_result(m, options);
+        EXPECT_EQ(first.failure_probability, full.failure_probability);  // bitwise
+        EXPECT_EQ(first.ft_stats.gates, full.ft_stats.gates);
+        EXPECT_EQ(first.ft_stats.basic_events, full.ft_stats.basic_events);
+        EXPECT_EQ(first.warnings, full.warnings);
+        EXPECT_EQ(first.approximated_blocks, full.approximated_blocks);
+        EXPECT_GT(engine.stats().fragments_built, 0u);
 
         // A repeat candidate on the warm engine serves the whole
         // composition from the finished-tree memo, zero fragments
         // rebuilt.
-        const analysis::ProbabilityResult again = on.analyze(m, options);
-        EXPECT_EQ(again.failure_probability, r_on.failure_probability);
-        EXPECT_EQ(again.ft_stats.gates, r_on.ft_stats.gates);
-        EXPECT_GT(on.stats().ftree_memo_hits, 0u);
-        EXPECT_GT(on.stats().fragments_reused, 0u);
+        const analysis::ProbabilityResult again = engine.analyze(m, options);
+        EXPECT_EQ(again.failure_probability, first.failure_probability);
+        EXPECT_EQ(again.ft_stats.gates, first.ft_stats.gates);
+        EXPECT_GT(engine.stats().ftree_memo_hits, 0u);
+        EXPECT_GT(engine.stats().fragments_reused, 0u);
     }
 }
 

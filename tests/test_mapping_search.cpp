@@ -7,9 +7,12 @@
 
 #include "analysis/ccf.h"
 #include "core/error.h"
+#include "cost/cost_analysis.h"
+#include "engine/engine.h"
 #include "io/model_json.h"
 #include "model/validation.h"
 #include "scenarios/micro.h"
+#include "search_corpus.h"
 #include "transform/expand.h"
 
 namespace asilkit::explore {
@@ -203,35 +206,37 @@ TEST(MappingSearch, BoundPruningNeverChangesResults) {
 }
 
 TEST(MappingSearch, CandidateDedupNeverChangesResults) {
-    // The engine memo replays the bitwise EvalValue an earlier
-    // evaluation produced, so toggling it (with an evicting cache, where
-    // it can actually serve) never changes the search.
+    // The engine serves repeat candidates from two places: analyze_batch
+    // folds identical tree keys within a chunk onto one evaluation, and
+    // the FIFO eval cache replays earlier chunks.  With a capacity-2
+    // cache (constant eviction) and a second search on the same warm
+    // engine, both must match an uncached search bit for bit.
+    ArchitectureModel base = scenarios::chain_n_stages(6);
+    transform::expand(base, base.find_app_node("f3"));
+    ArchitectureModel uncached = base;
+    MappingSearchOptions options;
+    options.engine = {.threads = 1, .cache_capacity = 0};
+    const MappingSearchResult r_uncached = search_mapping(uncached, options);
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        ArchitectureModel with = scenarios::chain_n_stages(6);
-        ArchitectureModel without = scenarios::chain_n_stages(6);
-        transform::expand(with, with.find_app_node("f3"));
-        transform::expand(without, without.find_app_node("f3"));
-
-        MappingSearchOptions options;
-        options.engine = {.threads = threads, .cache_capacity = 2};  // constant eviction
-        options.engine.candidate_dedup = true;
-        const MappingSearchResult r_with = search_mapping(with, options);
-        options.engine.candidate_dedup = false;
-        const MappingSearchResult r_without = search_mapping(without, options);
-
-        EXPECT_EQ(r_with.merges, r_without.merges) << threads;
-        EXPECT_EQ(r_with.iterations, r_without.iterations) << threads;
-        EXPECT_EQ(r_with.probability_after, r_without.probability_after) << threads;
-        EXPECT_EQ(r_with.cost_after, r_without.cost_after) << threads;
-        EXPECT_EQ(io::to_json(with).dump(), io::to_json(without).dump()) << threads;
-        expect_same_front(r_with.front, r_without.front, threads);
-        EXPECT_EQ(r_without.dedup_hits, 0u);
+        options.engine = {.threads = threads, .cache_capacity = 2};
+        engine::EvalEngine engine(options.engine);
+        for (int pass = 0; pass < 2; ++pass) {
+            ArchitectureModel tiny = base;
+            const MappingSearchResult r_tiny = search_mapping(tiny, options, engine);
+            EXPECT_EQ(r_tiny.merges, r_uncached.merges) << threads;
+            EXPECT_EQ(r_tiny.iterations, r_uncached.iterations) << threads;
+            EXPECT_EQ(r_tiny.probability_after, r_uncached.probability_after) << threads;
+            EXPECT_EQ(r_tiny.cost_after, r_uncached.cost_after) << threads;
+            EXPECT_EQ(io::to_json(tiny).dump(), io::to_json(uncached).dump()) << threads;
+            expect_same_front(r_tiny.front, r_uncached.front, threads);
+        }
     }
 }
 
 TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
-    // Both features at once vs neither: the full staged pipeline against
-    // the plain exhaustive search.
+    // The full staged pipeline (bound pruning, lint pre-filter, the
+    // engine's repeat-candidate folding) against the plain exhaustive
+    // search.
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         ArchitectureModel staged = scenarios::chain_n_stages(6);
         ArchitectureModel plain = scenarios::chain_n_stages(6);
@@ -241,10 +246,8 @@ TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
         MappingSearchOptions options;
         options.engine.threads = threads;
         options.bound_pruning = true;
-        options.engine.candidate_dedup = true;
         const MappingSearchResult r_staged = search_mapping(staged, options);
         options.bound_pruning = false;
-        options.engine.candidate_dedup = false;
         options.lint_prefilter = false;
         const MappingSearchResult r_plain = search_mapping(plain, options);
 
@@ -258,38 +261,37 @@ TEST(MappingSearch, PruningAndDedupTogetherStayExact) {
 
 TEST(MappingSearch, IncrementalFtreeNeverChangesResults) {
     // Incremental component-fragment tree generation assembles bitwise
-    // identical trees (docs/ftree.md), so the searched model, every
-    // objective and the front must match the full-rebuild path exactly,
-    // at any thread count.
+    // identical trees (docs/ftree.md), so both objectives of the initial
+    // and the searched model must match the engine-free reference — a
+    // full build_fault_tree rebuild — exactly, and the searched model and
+    // front must not depend on the thread count.
+    ArchitectureModel base = scenarios::chain_n_stages(6);
+    transform::expand(base, base.find_app_node("f3"));
+    MappingSearchOptions options;
+    const double p_before =
+        testing::engine_free_result(base, options.probability).failure_probability;
+    ArchitectureModel serial = base;
+    options.engine.threads = 1;
+    const MappingSearchResult r_serial = search_mapping(serial, options);
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        ArchitectureModel incremental = scenarios::chain_n_stages(6);
-        ArchitectureModel full = scenarios::chain_n_stages(6);
-        transform::expand(incremental, incremental.find_app_node("f3"));
-        transform::expand(full, full.find_app_node("f3"));
-
-        MappingSearchOptions options;
+        ArchitectureModel m = base;
         options.engine.threads = threads;
-        options.engine.incremental_ftree = true;
-        const MappingSearchResult r_on = search_mapping(incremental, options);
-        options.engine.incremental_ftree = false;
-        const MappingSearchResult r_off = search_mapping(full, options);
+        const MappingSearchResult r = search_mapping(m, options);
 
-        EXPECT_EQ(r_on.merges, r_off.merges) << threads;
-        EXPECT_EQ(r_on.iterations, r_off.iterations) << threads;
-        EXPECT_EQ(r_on.probability_before, r_off.probability_before) << threads;
-        EXPECT_EQ(r_on.probability_after, r_off.probability_after) << threads;
-        EXPECT_EQ(r_on.cost_before, r_off.cost_before) << threads;
-        EXPECT_EQ(r_on.cost_after, r_off.cost_after) << threads;
-        EXPECT_EQ(io::to_json(incremental).dump(), io::to_json(full).dump()) << threads;
-        expect_same_front(r_on.front, r_off.front, threads);
+        EXPECT_EQ(r.probability_before, p_before) << threads;  // bitwise
+        EXPECT_EQ(r.probability_after,
+                  testing::engine_free_result(m, options.probability).failure_probability)
+            << threads;
+        EXPECT_DOUBLE_EQ(r.cost_before, cost::total_cost(base, options.metric)) << threads;
+        EXPECT_DOUBLE_EQ(r.cost_after, cost::total_cost(m, options.metric)) << threads;
+        EXPECT_EQ(r.merges, r_serial.merges) << threads;
+        EXPECT_EQ(r.iterations, r_serial.iterations) << threads;
+        EXPECT_EQ(io::to_json(m).dump(), io::to_json(serial).dump()) << threads;
+        expect_same_front(r.front, r_serial.front, threads);
         // The fragment caches must actually carry load on this walk
-        // (exact counts are scheduling-dependent at threads > 1, so only
-        // the on/off split is asserted).
-        EXPECT_GT(r_on.fragments_reused, 0u) << threads;
-        EXPECT_GT(r_on.fragments_built, 0u) << threads;
-        EXPECT_EQ(r_off.fragments_built, 0u);
-        EXPECT_EQ(r_off.fragments_reused, 0u);
-        EXPECT_EQ(r_off.ftree_memo_hits, 0u);
+        // (exact counts are scheduling-dependent at threads > 1).
+        EXPECT_GT(r.fragments_reused, 0u) << threads;
+        EXPECT_GT(r.fragments_built, 0u) << threads;
     }
 }
 

@@ -3,7 +3,8 @@
 // digests in tests/fixtures/search_golden.txt — probabilities, costs,
 // merges, iterations, fronts and final models.  The fixture was captured
 // with the persistent-compiler engine that preceded the per-module BDD
-// workspace, so a match proves the workspace neutral.
+// workspace, and before the candidate-dedup memo and the full-rebuild
+// tree path were deleted, so a match proves those changes neutral.
 //
 // The field-equality test checks the engine's ProbabilityResult against
 // the engine-free path built from the same pieces (build_fault_tree,
@@ -17,11 +18,7 @@
 #include <vector>
 
 #include "analysis/probability.h"
-#include "bdd/from_fault_tree.h"
 #include "engine/engine.h"
-#include "ftree/builder.h"
-#include "ftree/fault_tree.h"
-#include "ftree/modules.h"
 #include "search_corpus.h"
 
 #ifndef ASILKIT_SOURCE_DIR
@@ -64,39 +61,6 @@ TEST(SearchGolden, RateVariantBatchesMatchFixture) {
             EXPECT_EQ(line, it->second);
         }
     }
-}
-
-/// The engine-free modular evaluation the engine must reproduce.
-analysis::ProbabilityResult reference_result(const ArchitectureModel& m,
-                                             const analysis::ProbabilityOptions& options) {
-    ftree::FtBuildOptions build_options;
-    build_options.approximate = options.approximate;
-    build_options.include_location_events = options.include_location_events;
-    build_options.rates = options.rates;
-    ftree::FtBuildResult built = ftree::build_fault_tree(m, build_options);
-    analysis::ProbabilityResult r;
-    r.ft_stats = built.tree.stats();
-    r.approximated_blocks = built.approximated_blocks;
-    r.cycles_cut = built.cycles_cut;
-    r.warnings = std::move(built.warnings);
-    const ftree::FaultTree canon = ftree::canonicalize(built.tree).tree;
-    const ftree::ModuleDecomposition dec = ftree::find_modules(canon);
-    std::vector<double> module_prob(dec.size());
-    for (std::size_t i = 0; i < dec.size(); ++i) {
-        std::vector<double> child_probs;
-        for (const std::uint32_t child : dec.modules[i].child_modules) {
-            child_probs.push_back(module_prob[child]);
-        }
-        const bdd::ModuleEvalResult e =
-            bdd::evaluate_module(canon, dec, i, child_probs, options.mission_hours);
-        module_prob[i] = e.probability;
-        r.bdd_nodes += e.bdd_nodes;
-        r.bdd_total_nodes += e.bdd_total_nodes;
-        r.variables += e.variables;
-    }
-    r.modules = dec.size();
-    r.failure_probability = module_prob.back();
-    return r;
 }
 
 void expect_fields_equal(const analysis::ProbabilityResult& engine,
@@ -142,7 +106,6 @@ TEST(EngineFieldEquality, SearchCorpusModelsMatchEngineFreePath) {
         engine::EngineOptions engine_options;
         engine_options.threads = 1;
         engine_options.cache_capacity = 0;  // every module evaluated, none replayed
-        engine_options.candidate_dedup = false;
         engine::EvalEngine engine(engine_options);
         for (const SearchCase& c : search_corpus()) {
             if (c.approximate != approximate || c.capacity != 4 || c.threads != 1) continue;
@@ -152,7 +115,7 @@ TEST(EngineFieldEquality, SearchCorpusModelsMatchEngineFreePath) {
             for (const ArchitectureModel* m : models) {
                 SCOPED_TRACE(c.label + (m == &c.model ? " initial" : " searched"));
                 const analysis::ProbabilityResult r = engine.analyze(*m, options);
-                expect_fields_equal(r, reference_result(*m, options));
+                expect_fields_equal(r, engine_free_result(*m, options));
                 expect_matches_monolithic(r, analysis::analyze_failure_probability(*m, options));
             }
         }
@@ -169,7 +132,7 @@ TEST(EngineFieldEquality, RateVariantBatchesMatchEngineFreePath) {
         const std::vector<analysis::ProbabilityResult> batch = engine.analyze_batch(ptrs, options);
         for (std::size_t j = 0; j < batch.size(); ++j) {
             SCOPED_TRACE(g.label + " lane " + std::to_string(j));
-            expect_fields_equal(batch[j], reference_result(g.variants[j], options));
+            expect_fields_equal(batch[j], engine_free_result(g.variants[j], options));
         }
     }
 }

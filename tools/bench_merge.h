@@ -49,8 +49,8 @@ inline io::Json compact_benchmarks(const io::Json& raw) {
         }
         // Lint pre-filter counters (bench_lint) and BDD counters
         // (bench_bdd_compile).
-        for (const char* key : {"findings", "rejects_per_sec", "lint_rejections", "modules",
-                                "gc_freed_nodes", "batch_lanes"}) {
+        for (const char* key :
+             {"findings", "rejects_per_sec", "lint_rejections", "modules", "batch_lanes"}) {
             if (b.contains(key)) entry[key] = b.at(key).as_number();
         }
         benchmarks.push_back(std::move(entry));
