@@ -1,6 +1,7 @@
 #include "bdd/bdd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <functional>
 #include <unordered_map>
@@ -11,7 +12,19 @@
 namespace asilkit::bdd {
 namespace {
 
-constexpr std::size_t kInitialTableCapacity = 1 << 10;  // power of two
+/// Initial capacity of the unique table and of each apply cache for a
+/// diagram over `variable_count` variables: 16 slots per variable,
+/// rounded up to a power of two from 64 to 1024.  Module diagrams create
+/// about 5-8 nodes and 7-10 apply entries per variable, so 16 keeps a
+/// typical module under the 70 % load limit; diagrams that outgrow it
+/// grow their tables.  The apply cache is a memo that never evicts, so
+/// its starting size changes neither results, node numbering nor hit
+/// counts.
+[[nodiscard]] std::size_t initial_table_capacity(std::uint32_t variable_count) noexcept {
+    constexpr std::size_t kMin = 1 << 6;
+    constexpr std::size_t kMax = 1 << 10;
+    return std::min(kMax, std::bit_ceil(std::max(kMin, 16 * std::size_t{variable_count})));
+}
 
 /// Grow when a table passes ~70 % occupancy.
 [[nodiscard]] constexpr bool over_load(std::size_t entries, std::size_t capacity) noexcept {
@@ -50,19 +63,9 @@ __attribute__((noinline)) void sweep_node_lanes(const double* __restrict pv,
 BddManager::BddManager(std::uint32_t variable_count) : variable_count_(variable_count) {
     nodes_.push_back(Node{variable_count_, kFalse, kFalse});  // terminal 0
     nodes_.push_back(Node{variable_count_, kTrue, kTrue});    // terminal 1
-    unique_.slots.assign(kInitialTableCapacity, kFalse);
-    for (ApplyCache& cache : apply_cache_) {
-        cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
-    }
-}
-
-void BddManager::ensure_variables(std::uint32_t count) {
-    if (count <= variable_count_) return;
-    variable_count_ = count;
-    // The terminal sentinels keep var == variable_count_ so terminals
-    // still sort after every variable (see var_of).
-    nodes_[kFalse].var = variable_count_;
-    nodes_[kTrue].var = variable_count_;
+    const std::size_t capacity = initial_table_capacity(variable_count_);
+    unique_.slots.assign(capacity, kFalse);
+    for (ApplyCache& cache : apply_cache_) cache.slots.assign(capacity, ApplyCache::Slot{});
 }
 
 void BddManager::reset(std::uint32_t variable_count) {
@@ -72,12 +75,14 @@ void BddManager::reset(std::uint32_t variable_count) {
     nodes_[kFalse].var = variable_count_;
     nodes_[kTrue].var = variable_count_;
     // assign() to the initial capacity keeps any larger buffer but writes
-    // only kInitialTableCapacity slots: the reset never pays for a table
-    // an earlier, larger diagram grew.
-    unique_.slots.assign(kInitialTableCapacity, kFalse);
+    // only the slots this diagram starts with: the reset pays neither for
+    // a table an earlier, larger diagram grew nor for a 1024-slot table
+    // under a module of a few dozen nodes.
+    const std::size_t capacity = initial_table_capacity(variable_count_);
+    unique_.slots.assign(capacity, kFalse);
     unique_.entries = 0;
     for (ApplyCache& cache : apply_cache_) {
-        cache.slots.assign(kInitialTableCapacity, ApplyCache::Slot{});
+        cache.slots.assign(capacity, ApplyCache::Slot{});
         cache.entries = 0;
     }
     prob_memo_.clear();

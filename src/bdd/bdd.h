@@ -35,7 +35,10 @@
 // arena and the tables in O(initial table size) — never O(largest table
 // ever grown) — which is how bdd::ModuleEvaluator (from_fault_tree.h)
 // gives every engine worker one workspace for all its module
-// evaluations.  See docs/bdd.md for the lifecycle contract.
+// evaluations.  The initial size follows the variable count (16 slots
+// per variable, rounded up to a power of two from 64 to 1024), so
+// resetting for a small module touches a small table.  See docs/bdd.md
+// for the lifecycle contract.
 //
 // A manager is NOT thread-safe; concurrent evaluation uses one manager
 // per worker (see engine/), which keeps the apply hot path lock-free.
@@ -84,24 +87,22 @@ public:
     /// `variable_count` fixes the variable order: variable 0 is tested
     /// first (the paper orders variables by a top-down, left-to-right
     /// traversal of the fault tree so that events nearest the top event
-    /// come first).
+    /// come first).  It also sizes the tables: 16 slots per variable,
+    /// rounded up to a power of two from 64 to 1024; larger diagrams grow
+    /// them.
     explicit BddManager(std::uint32_t variable_count);
 
     [[nodiscard]] std::uint32_t variable_count() const noexcept { return variable_count_; }
-
-    /// Widens the variable order to at least `count` variables (new
-    /// variables sort after every existing one, so existing diagrams are
-    /// untouched).  Long-lived managers compile trees of varying sizes;
-    /// a fresh-per-tree manager never needs this.
-    void ensure_variables(std::uint32_t count);
 
     /// Empties the manager for a new diagram over `variable_count`
     /// variables: afterwards it behaves exactly like a freshly
     /// constructed BddManager(variable_count) — same node numbering, same
     /// size(), same results — except that it keeps its buffers.  Costs
-    /// O(initial table capacity): tables grown past their initial
-    /// capacity are cut back to it (their buffers stay allocated), so a
-    /// large diagram never makes later small resets pay for its tables.
+    /// O(initial table capacity), which the constructor sizes from
+    /// `variable_count` (so a module over a dozen variables resets
+    /// 256-slot tables, not 1024-slot ones): tables grown past it are
+    /// cut back (their buffers stay allocated), so a large diagram never
+    /// makes later small resets pay for its tables.
     /// Every BddRef taken before the reset is invalid.
     void reset(std::uint32_t variable_count);
 

@@ -106,9 +106,10 @@ Args parse_args(const std::vector<std::string>& argv) {
             } else if (i + 1 < argv.size()) {
                 args.options[key] = argv[++i];
             } else {
-                throw IoError("option --" + key + " needs a value");
+                throw OptionError(token + " needs a value");
             }
-        } else if (token == "-o" && i + 1 < argv.size()) {
+        } else if (token == "-o") {
+            if (i + 1 == argv.size()) throw OptionError("-o needs a value");
             args.options["out"] = argv[++i];
         } else {
             args.positionals.push_back(token);

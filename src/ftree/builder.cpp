@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,15 +16,23 @@
 namespace asilkit::ftree {
 namespace {
 
+/// `prefix` + `name` in one allocation.
+[[nodiscard]] std::string prefixed(std::string_view prefix, std::string_view name) {
+    std::string out;
+    out.reserve(prefix.size() + name.size());
+    out.append(prefix).append(name);
+    return out;
+}
+
 /// Collects the base-event names an application node would contribute
 /// (used for the branch-independence check before approximating a block).
 void collect_event_names(const ArchitectureModel& m, NodeId n, bool with_locations,
                          std::unordered_set<std::string>& out) {
     for (ResourceId r : m.mapped_resources(n)) {
-        out.insert(std::string(kResourceEventPrefix) + m.resources().node(r).name);
+        out.insert(prefixed(kResourceEventPrefix, m.resources().node(r).name));
         if (with_locations) {
             for (LocationId p : m.resource_locations(r)) {
-                out.insert(std::string(kLocationEventPrefix) + m.physical().node(p).name);
+                out.insert(prefixed(kLocationEventPrefix, m.physical().node(p).name));
             }
         }
     }
@@ -38,16 +47,29 @@ public:
         : m_(m), options_(options), fragments_(fragments) {}
 
     FtBuildResult run() {
+        const std::vector<NodeId> ids = m_.app().node_ids();
+        // Node ids are slot indices, so per-node traversal state is flat.
+        const std::size_t id_bound = ids.empty() ? 0 : ids.back().value() + 1;
+        visit_.assign(id_bound, Visit::New);
+        gate_of_.assign(id_bound, FtRef{});
+        // One gate per node, one more per merger input, one system top;
+        // at most every intrinsic event distinct.
+        std::size_t events = 0;
+        std::size_t gates = 1;
         std::vector<NodeId> actuators;
         std::vector<NodeId> qm_actuators;
-        for (NodeId n : m_.app().node_ids()) {
-            if (m_.app().node(n).kind != NodeKind::Actuator) continue;
-            if (m_.app().node(n).asil.level == Asil::QM && !options_.include_qm_actuators) {
+        for (NodeId n : ids) {
+            const AppNode& node = m_.app().node(n);
+            events += intrinsic_event_count(n);
+            gates += node.kind == NodeKind::Merger ? 2 : 1;
+            if (node.kind != NodeKind::Actuator) continue;
+            if (node.asil.level == Asil::QM && !options_.include_qm_actuators) {
                 qm_actuators.push_back(n);
             } else {
                 actuators.push_back(n);
             }
         }
+        result_.tree.reserve(events, gates);
         if (actuators.empty()) actuators = std::move(qm_actuators);
         if (actuators.empty()) {
             throw AnalysisError("fault-tree generation requires at least one actuator node");
@@ -106,22 +128,41 @@ private:
         }
     }
 
+    [[nodiscard]] const ComponentFragment* fragment_of(NodeId n) const {
+        return fragments_ != nullptr ? (*fragments_)(n) : nullptr;
+    }
+
+    /// The number of intrinsic events `n` contributes, duplicates included.
+    [[nodiscard]] std::size_t intrinsic_event_count(NodeId n) const {
+        if (const ComponentFragment* fragment = fragment_of(n)) return fragment->events.size();
+        std::size_t count = 0;
+        for (const ResourceId r : m_.mapped_resources(n)) {
+            count += 1 + (options_.include_location_events ? m_.resource_locations(r).size() : 0);
+        }
+        return count;
+    }
+
+    /// The event `prefix` + `name`; the name is composed in a reused
+    /// buffer, so an event that already exists costs no allocation.
+    FtRef add_event(const char* prefix, const std::string& name, double lambda) {
+        name_buffer_.assign(prefix).append(name);
+        return result_.tree.add_basic_event(std::string_view(name_buffer_), lambda);
+    }
+
     /// Adds the intrinsic base events of `n` to `children`.  When a
     /// fragment source is wired in (assemble_fault_tree), the pre-built
     /// fragment replaces the model/rate-table lookups; the events replay
     /// through add_basic_event in the same order, so the arena is
     /// bitwise identical to the model-driven path.
     void add_intrinsic_events(NodeId n, std::vector<FtRef>& children) {
-        const ComponentFragment* fragment =
-            fragments_ != nullptr ? (*fragments_)(n) : nullptr;
-        if (fragment != nullptr) {
+        if (const ComponentFragment* fragment = fragment_of(n)) {
             if (fragment->no_resource) {
                 result_.warnings.push_back(
                     "node '" + m_.app().node(n).name +
                     "' has no mapped resource; it contributes no base event");
             }
             for (const BasicEvent& e : fragment->events) {
-                children.push_back(result_.tree.add_basic_event(e.name, e.lambda));
+                children.push_back(result_.tree.add_basic_event(std::string_view(e.name), e.lambda));
             }
         } else {
             const auto& resources = m_.mapped_resources(n);
@@ -132,15 +173,13 @@ private:
             }
             for (ResourceId r : resources) {
                 const Resource& res = m_.resources().node(r);
-                children.push_back(
-                    result_.tree.add_basic_event(std::string(kResourceEventPrefix) + res.name,
-                                                 options_.rates.resource_rate(res)));
+                children.push_back(add_event(kResourceEventPrefix, res.name,
+                                             options_.rates.resource_rate(res)));
                 if (options_.include_location_events) {
                     for (LocationId p : m_.resource_locations(r)) {
                         const Location& loc = m_.physical().node(p);
-                        children.push_back(result_.tree.add_basic_event(
-                            std::string(kLocationEventPrefix) + loc.name,
-                            options_.rates.location_rate(loc)));
+                        children.push_back(add_event(kLocationEventPrefix, loc.name,
+                                                     options_.rates.location_rate(loc)));
                     }
                 }
             }
@@ -176,30 +215,33 @@ private:
     /// Failure gate of application node `n`; nullopt when `n` is on the
     /// current traversal stack (cycle cut).
     std::optional<FtRef> gate_for(NodeId n) {
-        if (auto it = memo_.find(n); it != memo_.end()) return it->second;
-        if (on_stack_.contains(n)) {
+        const std::uint32_t i = n.value();
+        if (visit_[i] == Visit::Done) return gate_of_[i];
+        if (visit_[i] == Visit::OnStack) {
             ++result_.cycles_cut;
             return std::nullopt;
         }
-        on_stack_.insert(n);
+        visit_[i] = Visit::OnStack;
         const AppNode& node = m_.app().node(n);
+        const bool is_merger = node.kind == NodeKind::Merger;
+        const auto& inputs = m_.app().in_edges(n);
 
         std::vector<FtRef> children;
+        children.reserve(intrinsic_event_count(n) + (is_merger ? 1 : inputs.size()));
         add_intrinsic_events(n, children);
 
-        const bool is_merger = node.kind == NodeKind::Merger;
         if (is_merger) {
             if (auto child = merger_input_gate(n)) children.push_back(*child);
         } else {
-            for (NodeId p : m_.app().predecessors(n)) {
-                if (auto g = gate_for(p)) children.push_back(*g);
+            for (const ChannelId e : inputs) {
+                if (auto g = gate_for(m_.app().edge(e).source)) children.push_back(*g);
             }
         }
 
-        const FtRef gate = result_.tree.add_gate(std::string(kNodeGatePrefix) + node.name,
+        const FtRef gate = result_.tree.add_gate(prefixed(kNodeGatePrefix, node.name),
                                                  GateKind::Or, std::move(children));
-        on_stack_.erase(n);
-        memo_.emplace(n, gate);
+        visit_[i] = Visit::Done;
+        gate_of_[i] = gate;
         return gate;
     }
 
@@ -222,7 +264,7 @@ private:
                         if (auto g = gate_for(s)) splitter_gates.push_back(*g);
                     }
                     if (splitter_gates.empty()) continue;
-                    branch_inputs.push_back(or_of(splitter_gates, "approx_in:" + node.name));
+                    branch_inputs.push_back(or_of(splitter_gates, prefixed("approx_in:", node.name)));
                 }
                 std::sort(branch_inputs.begin(), branch_inputs.end(), [](FtRef a, FtRef b) {
                     return std::pair{a.kind, a.index} < std::pair{b.kind, b.index};
@@ -232,24 +274,29 @@ private:
                 ++result_.approximated_blocks;
                 if (branch_inputs.empty()) return std::nullopt;
                 if (branch_inputs.size() == 1) return branch_inputs.front();
-                return result_.tree.add_gate("and:" + node.name, GateKind::And,
+                return result_.tree.add_gate(prefixed("and:", node.name), GateKind::And,
                                              std::move(branch_inputs));
             }
         }
+        const auto& in_edges = m_.app().in_edges(merger);
         std::vector<FtRef> inputs;
-        for (NodeId p : m_.app().predecessors(merger)) {
-            if (auto g = gate_for(p)) inputs.push_back(*g);
+        inputs.reserve(in_edges.size());
+        for (const ChannelId e : in_edges) {
+            if (auto g = gate_for(m_.app().edge(e).source)) inputs.push_back(*g);
         }
         if (inputs.empty()) return std::nullopt;
-        return result_.tree.add_gate("and:" + node.name, GateKind::And, std::move(inputs));
+        return result_.tree.add_gate(prefixed("and:", node.name), GateKind::And, std::move(inputs));
     }
 
     const ArchitectureModel& m_;
     const FtBuildOptions& options_;
     const FragmentSource* fragments_ = nullptr;
     FtBuildResult result_;
-    std::unordered_map<NodeId, FtRef> memo_;
-    std::unordered_set<NodeId> on_stack_;
+    /// Per node id: the traversal state and, once Done, the failure gate.
+    enum class Visit : std::uint8_t { New, OnStack, Done };
+    std::vector<Visit> visit_;
+    std::vector<FtRef> gate_of_;
+    std::string name_buffer_;
     std::unordered_map<NodeId, std::pair<RedundantBlock, bool>> blocks_;
     std::map<std::vector<std::uint64_t>, FtRef> or_cache_;
 };

@@ -1,5 +1,6 @@
 #include "ftree/cft.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string_view>
 #include <unordered_set>
@@ -21,16 +22,52 @@ namespace {
 
 /// Deterministic string fold (std::hash is implementation-defined; the
 /// fragment keys feed bench counters that should not drift across
-/// standard libraries).
+/// standard libraries).  Folds 8 bytes per step, little-endian, the last
+/// word zero-padded; the length is folded first, so padding cannot make
+/// two different strings agree.
 [[nodiscard]] std::uint64_t string_hash(std::string_view s) noexcept {
     std::uint64_t h = hash::combine(0x737472ull /* "str" */, s.size());
-    for (const char c : s) h = hash::combine(h, static_cast<unsigned char>(c));
+    for (std::size_t i = 0; i < s.size(); i += 8) {
+        std::uint64_t word = 0;
+        const std::size_t n = std::min<std::size_t>(8, s.size() - i);
+        for (std::size_t b = 0; b < n; ++b) {
+            word |= std::uint64_t{static_cast<unsigned char>(s[i + b])} << (8 * b);
+        }
+        h = hash::combine(h, word);
+    }
     return h;
 }
 
 [[nodiscard]] std::uint64_t option_bits(const FtBuildOptions& o) noexcept {
     return (o.approximate ? 1u : 0u) | (o.include_location_events ? 2u : 0u) |
            (o.include_qm_actuators ? 4u : 0u);
+}
+
+/// Regenerates the events of `n`'s fragment into `f` in place: event
+/// slots and name buffers of the fragment's previous content are reused,
+/// so a rate-only change rewrites the fragment without allocating.
+void fill_fragment_events(ComponentFragment& f, const ArchitectureModel& m, NodeId n,
+                          const FtBuildOptions& options) {
+    std::size_t count = 0;
+    const auto put = [&](const char* prefix, const std::string& name, double lambda) {
+        if (count == f.events.size()) f.events.emplace_back();
+        BasicEvent& e = f.events[count++];
+        e.name.assign(prefix).append(name);
+        e.lambda = lambda;
+    };
+    const auto& resources = m.mapped_resources(n);
+    f.no_resource = resources.empty();
+    for (const ResourceId r : resources) {
+        const Resource& res = m.resources().node(r);
+        put(kResourceEventPrefix, res.name, options.rates.resource_rate(res));
+        if (options.include_location_events) {
+            for (const LocationId p : m.resource_locations(r)) {
+                const Location& loc = m.physical().node(p);
+                put(kLocationEventPrefix, loc.name, options.rates.location_rate(loc));
+            }
+        }
+    }
+    f.events.resize(count);
 }
 
 }  // namespace
@@ -44,9 +81,9 @@ std::uint64_t fragment_key(const ArchitectureModel& m, NodeId n, const FtBuildOp
     // Inport wiring: the in-order predecessor list is part of the
     // fragment, because the node's failure gate ORs its inputs' gates in
     // exactly this order — a connectivity edit dirties the sink.
-    for (const NodeId p : m.app().predecessors(n)) {
+    for (const ChannelId e : m.app().in_edges(n)) {
         h = hash::combine(h, 0x70726564ull /* "pred" */);
-        h = hash::combine(h, p.value());
+        h = hash::combine(h, m.app().edge(e).source.value());
     }
     // Intrinsic events: resolved rates, not table identity, so a custom
     // rate table or a lambda_override dirties exactly the nodes whose
@@ -70,20 +107,7 @@ ComponentFragment build_fragment(const ArchitectureModel& m, NodeId n,
                                  const FtBuildOptions& options) {
     ComponentFragment f;
     f.key = fragment_key(m, n, options);
-    const auto& resources = m.mapped_resources(n);
-    f.no_resource = resources.empty();
-    for (const ResourceId r : resources) {
-        const Resource& res = m.resources().node(r);
-        f.events.push_back(BasicEvent{std::string(kResourceEventPrefix) + res.name,
-                                      options.rates.resource_rate(res)});
-        if (options.include_location_events) {
-            for (const LocationId p : m.resource_locations(r)) {
-                const Location& loc = m.physical().node(p);
-                f.events.push_back(BasicEvent{std::string(kLocationEventPrefix) + loc.name,
-                                              options.rates.location_rate(loc)});
-            }
-        }
-    }
+    fill_fragment_events(f, m, n, options);
     return f;
 }
 
@@ -142,36 +166,38 @@ IncrementalTreeBuilder::Prepared IncrementalTreeBuilder::prepare(const Architect
         return it->second;
     }
 
-    // Dirty fragments only: regenerate where the key drifted, keep the
-    // rest by reference.
+    // Dirty fragments only: regenerate where the key drifted (in place,
+    // reusing the slot's buffers), keep the rest by reference.
+    if (!ids.empty() && fragments_.size() <= ids.back().value()) {
+        fragments_.resize(ids.back().value() + 1);
+    }
     for (std::size_t i = 0; i < ids.size(); ++i) {
         ComponentFragment& slot = fragments_[ids[i].value()];
         if (slot.key == keys[i] && keys[i] != 0) {
             ++last_.fragments_reused;
         } else {
-            slot = build_fragment(m, ids[i], options);
+            slot.key = keys[i];
+            fill_fragment_events(slot, m, ids[i], options);
             ++last_.fragments_built;
         }
     }
     built_counter.add(last_.fragments_built);
     reused_counter.add(last_.fragments_reused);
 
-    FtBuildResult built = assemble_fault_tree(m, options, [this](NodeId n) {
-        const auto it = fragments_.find(n.value());
-        return it == fragments_.end() ? nullptr : &it->second;
-    });
+    FtBuildResult built = assemble_fault_tree(
+        m, options, [this](NodeId n) -> const ComponentFragment* { return &fragments_[n.value()]; });
 
     Prepared p;
-    p.stats = built.tree.stats();
     p.warnings = std::move(built.warnings);
     p.approximated_blocks = built.approximated_blocks;
     p.cycles_cut = built.cycles_cut;
     {
         const obs::ObsSpan canon_span("canonicalize", "ftree");
-        CanonicalTree canon = canonicalize(built.tree);
+        CanonicalTree canon = canonicalize(std::move(built.tree));
         p.canonical = std::make_shared<const FaultTree>(std::move(canon.tree));
         p.structural_hash = canon.structural_hash;
         p.shape_hash = canon.shape_hash;
+        p.stats = canon.stats;
     }
     p.modules = std::make_shared<const ModuleDecomposition>(find_modules(*p.canonical));
 

@@ -139,9 +139,9 @@ public:
     [[nodiscard]] const PassStats& last_pass() const noexcept { return last_; }
 
 private:
-    /// Node id -> last-assembled fragment; regenerated when the key
-    /// drifts from the current model's.
-    std::unordered_map<std::uint32_t, ComponentFragment> fragments_;
+    /// Indexed by node id: the last-assembled fragment, regenerated in
+    /// place when its key drifts from the current model's (key 0 = none).
+    std::vector<ComponentFragment> fragments_;
     /// Composition fingerprint -> finished bundle, FIFO-bounded.
     std::unordered_map<std::uint64_t, Prepared> memo_;
     std::deque<std::uint64_t> memo_order_;

@@ -1,9 +1,11 @@
 #include "ftree/fault_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <ostream>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/hash.h"
@@ -34,26 +36,51 @@ std::uint32_t FaultTree::name_entry(std::string_view name) const noexcept {
     return name_slots_.empty() ? 0 : name_slots_[name_slot(name)];
 }
 
-FtRef FaultTree::add_basic_event(std::string name, double lambda) {
-    if (const std::uint32_t found = name_entry(name); found != 0) {
-        const BasicEvent& existing = basics_[found - 1];
-        if (existing.lambda != lambda) {
-            throw AnalysisError("basic event '" + name + "' re-added with lambda " +
-                                std::to_string(lambda) + " != " + std::to_string(existing.lambda));
-        }
-        return FtRef{FtRef::Kind::Basic, found - 1};
+std::optional<FtRef> FaultTree::existing_event(std::string_view name, double lambda) const {
+    const std::uint32_t found = name_entry(name);
+    if (found == 0) return std::nullopt;
+    const BasicEvent& existing = basics_[found - 1];
+    if (existing.lambda != lambda) {
+        throw AnalysisError("basic event '" + std::string(name) + "' re-added with lambda " +
+                            std::to_string(lambda) + " != " + std::to_string(existing.lambda));
     }
+    return FtRef{FtRef::Kind::Basic, found - 1};
+}
+
+FtRef FaultTree::add_basic_event(std::string_view name, double lambda) {
+    if (const auto found = existing_event(name, lambda)) return *found;
+    return append_basic_event(std::string(name), lambda);
+}
+
+FtRef FaultTree::add_basic_event(std::string&& name, double lambda) {
+    if (const auto found = existing_event(name, lambda)) return *found;
+    return append_basic_event(std::move(name), lambda);
+}
+
+FtRef FaultTree::append_basic_event(std::string&& name, double lambda) {
     const auto index = static_cast<std::uint32_t>(basics_.size());
     basics_.push_back(BasicEvent{std::move(name), lambda});
     if (2 * basics_.size() <= name_slots_.size()) {
         name_slots_[name_slot(basics_.back().name)] = index + 1;
     } else {
-        name_slots_.assign(std::max<std::size_t>(16, 2 * name_slots_.size()), 0);
-        for (std::uint32_t i = 0; i < basics_.size(); ++i) {
-            name_slots_[name_slot(basics_[i].name)] = i + 1;
-        }
+        rehash_names(std::max<std::size_t>(16, 2 * name_slots_.size()));
     }
     return FtRef{FtRef::Kind::Basic, index};
+}
+
+void FaultTree::rehash_names(std::size_t capacity) {
+    name_slots_.assign(capacity, 0);
+    for (std::uint32_t i = 0; i < basics_.size(); ++i) {
+        name_slots_[name_slot(basics_[i].name)] = i + 1;
+    }
+}
+
+void FaultTree::reserve(std::size_t basic_events, std::size_t gates) {
+    basics_.reserve(basic_events);
+    gates_.reserve(gates);
+    if (2 * basic_events > name_slots_.size()) {
+        rehash_names(std::bit_ceil(std::max<std::size_t>(16, 2 * basic_events)));
+    }
 }
 
 FtRef FaultTree::add_gate(std::string name, GateKind kind, std::vector<FtRef> children) {
@@ -110,50 +137,66 @@ bool FaultTree::has_basic_event(std::string_view name) const noexcept {
     return name_entry(name) != 0;
 }
 
-FaultTreeStats FaultTree::stats() const {
-    FaultTreeStats s;
-    if (!has_top_) return s;
-    if (top_.kind == FtRef::Kind::Basic) {
-        s.basic_events = s.dag_nodes = s.depth = 1;
-        s.expanded_nodes = s.paths = 1;
-        return s;
-    }
-    constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
-    auto sat_add = [kCap](std::uint64_t a, std::uint64_t b) {
-        return a > kCap - std::min(b, kCap) ? kCap : a + b;
-    };
+namespace {
 
-    struct Memo {
-        std::uint64_t expanded = 1;
-        std::uint64_t paths = 0;
-        std::size_t depth = 1;
-    };
-    std::vector<Memo> memo(gates_.size());
+/// A gate's share of FaultTreeStats — its subtree's size and path count
+/// when expanded into a tree, and its depth — folded children-first.
+/// Every term is a sum or a max over the children, so the tally does not
+/// depend on child order.
+struct TreeTally {
+    static constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
+
+    std::uint64_t expanded = 1;
+    std::uint64_t paths = 0;
+    std::size_t depth = 1;
+
+    static constexpr std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) noexcept {
+        return a > kCap - std::min(b, kCap) ? kCap : a + b;
+    }
+    void add_child(const TreeTally& c) noexcept {
+        expanded = sat_add(expanded, c.expanded);
+        paths = sat_add(paths, c.paths);
+        depth = std::max(depth, c.depth + 1);
+    }
+};
+constexpr TreeTally kLeafTally{1, 1, 1};
+
+[[nodiscard]] FaultTreeStats make_stats(std::size_t basic_events, std::size_t gates,
+                                             const TreeTally& top) noexcept {
+    FaultTreeStats s;
+    s.basic_events = basic_events;
+    s.gates = gates;
+    s.dag_nodes = basic_events + gates;
+    s.expanded_nodes = top.expanded;
+    s.paths = top.paths;
+    s.depth = top.depth;
+    return s;
+}
+
+}  // namespace
+
+FaultTreeStats FaultTree::stats() const {
+    if (!has_top_) return {};
+    if (top_.kind == FtRef::Kind::Basic) return make_stats(1, 0, kLeafTally);
+    std::vector<TreeTally> tally(gates_.size());
     std::vector<std::uint8_t> basic_seen(basics_.size(), 0);
+    std::size_t basic_events = 0;
+    std::size_t gates = 0;
     detail::walk_gates(
         *this, top_.index,
         [&](std::uint32_t, FtRef c) {
             if (c.kind == FtRef::Kind::Basic && !basic_seen[c.index]) {
                 basic_seen[c.index] = 1;
-                ++s.basic_events;
+                ++basic_events;
             }
         },
         [&](std::uint32_t g) {
-            ++s.gates;
-            Memo& m = memo[g];
+            ++gates;
             for (const FtRef c : gates_[g].children) {
-                const Memo cm = c.kind == FtRef::Kind::Basic ? Memo{1, 1, 1} : memo[c.index];
-                m.expanded = sat_add(m.expanded, cm.expanded);
-                m.paths = sat_add(m.paths, cm.paths);
-                m.depth = std::max(m.depth, cm.depth + 1);
+                tally[g].add_child(c.kind == FtRef::Kind::Basic ? kLeafTally : tally[c.index]);
             }
         });
-    const Memo& top_memo = memo[top_.index];
-    s.dag_nodes = s.basic_events + s.gates;
-    s.expanded_nodes = top_memo.expanded;
-    s.paths = top_memo.paths;
-    s.depth = top_memo.depth;
-    return s;
+    return make_stats(basic_events, gates, tally[top_.index]);
 }
 
 namespace {
@@ -251,18 +294,41 @@ bool identical_shape(const FaultTree& a, const FaultTree& b) {
     return true;
 }
 
-CanonicalTree canonicalize(const FaultTree& ft) {
-    const FtRef root = ft.top();
+namespace {
+
+/// A source node's member for its canonical copy: moved out of a source
+/// that is being discarded (mutable `T`), copied otherwise.
+template <class T>
+[[nodiscard]] decltype(auto) take(T& member) noexcept {
+    if constexpr (std::is_const_v<T>) {
+        return (member);
+    } else {
+        return std::move(member);
+    }
+}
+
+/// canonicalize() over a source tree's arenas.  One implementation for
+/// both entry points: `Basic`/`GateT` are const when the source is kept
+/// (names and child lists copied) and mutable when it is discarded (their
+/// buffers moved into the canonical tree).
+template <class Basic, class GateT>
+[[nodiscard]] CanonicalTree canonicalize_arenas(std::span<Basic> basics, std::span<GateT> gates,
+                                                FtRef root) {
     CanonicalTree out;
     if (root.kind == FtRef::Kind::Basic) {
-        const BasicEvent& e = ft.basic_event(root.index);
-        out.tree.set_top(out.tree.add_basic_event(e.name, e.lambda));
+        if (root.index >= basics.size()) throw AnalysisError("basic event index out of range");
+        Basic& e = basics[root.index];
         out.structural_hash = structural_leaf(0, e.lambda);
         out.shape_hash = shape_leaf(0);
+        out.stats = make_stats(1, 0, kLeafTally);
+        out.tree.set_top(out.tree.add_basic_event(take(e.name), e.lambda));
         return out;
     }
-    const std::span<const BasicEvent> basics = ft.basic_events();
-    const std::span<const Gate> gates = ft.gates();
+    const auto own_children = [gates](std::uint32_t g) {
+        return std::span<const FtRef>(gates[g].children);
+    };
+    std::size_t child_slots = 0;
+    for (const GateT& g : gates) child_slots += g.children.size();
 
     // Phase 0: one walk collects the reachable gates children-first and
     // the reference counts (how many parent slots point at each node,
@@ -279,9 +345,11 @@ CanonicalTree canonicalize(const FaultTree& ft) {
     std::vector<std::uint32_t> postorder;
     std::vector<std::uint32_t> reached_basics;  // first-reached order
     std::vector<std::pair<std::uint32_t, std::uint32_t>> event_slots;  // (event, parent gate)
-    gate_refs[root.index] = 1;
+    postorder.reserve(gates.size());
+    reached_basics.reserve(basics.size());
+    event_slots.reserve(child_slots);
     detail::walk_gates(
-        ft, root.index,
+        gates.size(), basics.size(), root.index, own_children,
         [&](std::uint32_t g, FtRef c) {
             if (c.kind == FtRef::Kind::Gate) {
                 ++gate_refs[c.index];
@@ -291,6 +359,7 @@ CanonicalTree canonicalize(const FaultTree& ft) {
             event_slots.emplace_back(c.index, g);
         },
         [&](std::uint32_t g) { postorder.push_back(g); });
+    gate_refs[root.index] = 1;  // the root counts once
     std::vector<std::uint32_t> parent_begin(basics.size() + 1, 0);
     for (const auto& [e, g] : event_slots) ++parent_begin[e + 1];
     for (std::size_t e = 0; e < basics.size(); ++e) parent_begin[e + 1] += parent_begin[e];
@@ -397,72 +466,102 @@ CanonicalTree canonicalize(const FaultTree& ft) {
     }
     hash_gates();
 
-    // Phase 3: every reachable gate's children stably sorted by their
-    // refined (shape, full) pair, laid out flat.  Stability keeps full
-    // ties (identical subtree shapes, sharing, rates and context) in
-    // original order — those never produce a false cache hit because the
-    // final order-dependent hash still separates them.
-    std::vector<std::uint32_t> sorted_begin(gates.size(), 0);
+    // Phase 3: every reachable gate's children sorted by their refined
+    // (shape, full) pair, laid out flat.  Full ties (identical subtree
+    // shapes, sharing, rates and context) keep their original order —
+    // the original position is the last sort key, which gives a stable
+    // sort's order without its per-call buffer.  Such ties never produce
+    // a false cache hit because the final order-dependent hash still
+    // separates them.
+    struct SortEntry {
+        HashPair key;
+        std::uint32_t position;
+        FtRef ref;
+    };
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_range(gates.size());  // [begin, end)
     std::vector<FtRef> sorted;
-    std::vector<std::pair<HashPair, FtRef>> order;
+    sorted.reserve(child_slots);
+    std::vector<SortEntry> order;
     for (const std::uint32_t g : postorder) {
         order.clear();
         for (const FtRef c : gates[g].children) {
-            order.emplace_back(
-                c.kind == FtRef::Kind::Gate ? gate_hash[c.index] : basic_hash[c.index], c);
+            order.push_back(SortEntry{
+                c.kind == FtRef::Kind::Gate ? gate_hash[c.index] : basic_hash[c.index],
+                static_cast<std::uint32_t>(order.size()), c});
         }
-        std::stable_sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-            if (a.first.shape != b.first.shape) return a.first.shape < b.first.shape;
-            return a.first.full < b.first.full;
+        std::sort(order.begin(), order.end(), [](const SortEntry& a, const SortEntry& b) {
+            if (a.key.shape != b.key.shape) return a.key.shape < b.key.shape;
+            if (a.key.full != b.key.full) return a.key.full < b.key.full;
+            return a.position < b.position;
         });
-        sorted_begin[g] = static_cast<std::uint32_t>(sorted.size());
-        for (const auto& entry : order) sorted.push_back(entry.second);
+        sorted_range[g].first = static_cast<std::uint32_t>(sorted.size());
+        for (const SortEntry& entry : order) sorted.push_back(entry.ref);
+        sorted_range[g].second = static_cast<std::uint32_t>(sorted.size());
     }
 
     // Phase 4: rebuild depth-first over the sorted children.  Events are
     // numbered on first arrival and gates on completion — exactly the
     // first-occurrence numbering structural_hash()/shape_hash() apply to
-    // the result — so both hashes of the canonical tree fold up in the
-    // same pass.
+    // the result — so both hashes of the canonical tree, and its stats(),
+    // fold up in the same pass.
+    out.tree.reserve(reached_basics.size(), postorder.size());
     std::vector<std::uint32_t> basic_map(basics.size(), kUnset);
     std::vector<std::uint32_t> gate_map(gates.size(), kUnset);
     std::vector<HashPair> out_hash(gates.size());  // (shape_hash, structural_hash) terms
+    std::vector<TreeTally> tally(gates.size());
     auto sorted_children = [&](std::uint32_t g) {
-        return std::span<const FtRef>(sorted).subspan(sorted_begin[g], gates[g].children.size());
+        const auto [begin, end] = sorted_range[g];
+        return std::span<const FtRef>(sorted).subspan(begin, end - begin);
     };
     detail::walk_gates(
         gates.size(), basics.size(), root.index, sorted_children,
         [&](std::uint32_t, FtRef c) {
             if (c.kind == FtRef::Kind::Basic && basic_map[c.index] == kUnset) {
-                const BasicEvent& e = basics[c.index];
-                basic_map[c.index] = out.tree.add_basic_event(e.name, e.lambda).index;
+                Basic& e = basics[c.index];
+                basic_map[c.index] = out.tree.add_basic_event(take(e.name), e.lambda).index;
             }
         },
         [&](std::uint32_t g) {
-            const Gate& gate = gates[g];
+            GateT& gate = gates[g];
             const std::uint64_t seed = gate_seed(gate.kind);
             HashPair h{seed, seed};
-            std::vector<FtRef> children;
-            children.reserve(gate.children.size());
+            // Same length as the sorted list; every slot is overwritten.
+            std::vector<FtRef> children = take(gate.children);
+            std::size_t slot = 0;
             for (const FtRef c : sorted_children(g)) {
                 if (c.kind == FtRef::Kind::Gate) {
-                    children.push_back(FtRef{FtRef::Kind::Gate, gate_map[c.index]});
+                    children[slot++] = FtRef{FtRef::Kind::Gate, gate_map[c.index]};
                     h.shape = hash::combine(h.shape, out_hash[c.index].shape);
                     h.full = hash::combine(h.full, out_hash[c.index].full);
+                    tally[g].add_child(tally[c.index]);
                 } else {
                     const std::uint32_t id = basic_map[c.index];
-                    children.push_back(FtRef{FtRef::Kind::Basic, id});
+                    children[slot++] = FtRef{FtRef::Kind::Basic, id};
                     h.shape = hash::combine(h.shape, shape_leaf(id));
                     h.full = hash::combine(h.full, structural_leaf(id, basics[c.index].lambda));
+                    tally[g].add_child(kLeafTally);
                 }
             }
-            gate_map[g] = out.tree.add_gate(gate.name, gate.kind, std::move(children)).index;
+            gate_map[g] = out.tree.add_gate(take(gate.name), gate.kind, std::move(children)).index;
             out_hash[g] = h;
         });
     out.tree.set_top(FtRef{FtRef::Kind::Gate, gate_map[root.index]});
     out.structural_hash = out_hash[root.index].full;
     out.shape_hash = out_hash[root.index].shape;
+    out.stats = make_stats(reached_basics.size(), postorder.size(), tally[root.index]);
     return out;
+}
+
+}  // namespace
+
+CanonicalTree canonicalize(const FaultTree& ft) {
+    const FtRef root = ft.top();  // throws when the tree has no top event
+    return canonicalize_arenas(ft.basic_events(), ft.gates(), root);
+}
+
+CanonicalTree canonicalize(FaultTree&& ft) {
+    const FtRef root = ft.top();
+    return canonicalize_arenas(std::span<BasicEvent>(ft.basics_), std::span<Gate>(ft.gates_), root);
 }
 
 FaultTree canonical_form(const FaultTree& ft) { return canonicalize(ft).tree; }

@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/error.h"
@@ -56,20 +58,36 @@ struct FaultTreeStats {
     std::uint64_t expanded_nodes = 0;  ///< saturates at 2^62
     std::uint64_t paths = 0;           ///< saturates at 2^62
     std::size_t depth = 0;
+
+    friend bool operator==(const FaultTreeStats&, const FaultTreeStats&) = default;
 };
 
 std::ostream& operator<<(std::ostream& os, const FaultTreeStats& s);
+
+struct CanonicalTree;
 
 class FaultTree {
 public:
     /// Adds (or finds) a basic event by name.  Re-adding an existing name
     /// with a different lambda is an error: one physical cause, one rate.
-    FtRef add_basic_event(std::string name, double lambda);
+    /// The name is looked up before anything is stored, so finding an
+    /// existing event never allocates; the rvalue overload moves a new
+    /// name in instead of copying it.
+    FtRef add_basic_event(std::string_view name, double lambda);
+    FtRef add_basic_event(std::string&& name, double lambda);
+    FtRef add_basic_event(const char* name, double lambda) {
+        return add_basic_event(std::string_view(name), lambda);
+    }
 
     /// Adds a gate.  Children may be added later via add_child.
     FtRef add_gate(std::string name, GateKind kind, std::vector<FtRef> children = {});
 
     void add_child(FtRef gate, FtRef child);
+
+    /// Reserves room for `basic_events` events (arena and name index) and
+    /// `gates` gates, so a builder that knows its sizes up front never
+    /// regrows or rehashes.  Never shrinks; does not change the tree.
+    void reserve(std::size_t basic_events, std::size_t gates);
 
     void set_top(FtRef top);
     [[nodiscard]] FtRef top() const;
@@ -126,6 +144,15 @@ private:
     [[nodiscard]] std::size_t name_slot(std::string_view name) const noexcept;
     /// `name`'s event index + 1, or 0 when no event has that name.
     [[nodiscard]] std::uint32_t name_entry(std::string_view name) const noexcept;
+    /// The event `name` if it exists (checking its lambda), else nullopt.
+    [[nodiscard]] std::optional<FtRef> existing_event(std::string_view name, double lambda) const;
+    /// Appends an event whose name is not in the index yet.
+    FtRef append_basic_event(std::string&& name, double lambda);
+    /// Rebuilds name_slots_ with `capacity` slots (a power of two).
+    void rehash_names(std::size_t capacity);
+
+    /// Moves names and child lists out of the discarded source tree.
+    friend CanonicalTree canonicalize(FaultTree&& ft);
 
     std::vector<BasicEvent> basics_;
     std::vector<Gate> gates_;
@@ -166,15 +193,21 @@ private:
 /// one explicit-stack rebuild.  docs/ftree.md gives the details.
 [[nodiscard]] FaultTree canonical_form(const FaultTree& ft);
 
-/// canonical_form() together with the canonical tree's hashes, which
-/// the rebuild computes as it goes: `structural_hash` and `shape_hash`
-/// equal tree.structural_hash() and tree.shape_hash().
+/// canonical_form() together with what the rebuild computes as it goes:
+/// `structural_hash` and `shape_hash` equal tree.structural_hash() and
+/// tree.shape_hash(), and `stats` equals tree.stats() — which is also
+/// ft.stats(), since the statistics do not depend on child order.
 struct CanonicalTree {
     FaultTree tree;
     std::uint64_t structural_hash = 0;
     std::uint64_t shape_hash = 0;
+    FaultTreeStats stats;
 };
 [[nodiscard]] CanonicalTree canonicalize(const FaultTree& ft);
+/// The same canonical tree, built by moving the names and child lists out
+/// of `ft` instead of copying them; `ft` is left fit only for destruction
+/// or assignment.
+[[nodiscard]] CanonicalTree canonicalize(FaultTree&& ft);
 
 /// Exact index-wise structural equality ignoring names and failure
 /// rates: same gate count/kinds/child lists, same basic-event count,

@@ -1,8 +1,7 @@
-// Long-lived manager tests: variable-order widening, the batched
-// multi-lambda probability kernel (bitwise vs sequential, property vs
-// brute force), the forced-collision regression for the probability
-// memo, reset(), and the reused ModuleEvaluator workspace against fresh
-// evaluations.
+// Long-lived manager tests: the batched multi-lambda probability kernel
+// (bitwise vs sequential, property vs brute force), the forced-collision
+// regression for the probability memo, reset(), and the reused
+// ModuleEvaluator workspace against fresh evaluations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,20 +39,6 @@ ftree::FaultTree scale_rates(const ftree::FaultTree& ft, double factor) {
     }
     if (ft.has_top()) out.set_top(ft.top());
     return out;
-}
-
-// ---- variable-order widening -----------------------------------------------
-
-TEST(BddGc, EnsureVariablesWidensWithoutDisturbingDiagrams) {
-    BddManager mgr(2);
-    const BddRef f = mgr.apply_and(mgr.variable(0), mgr.variable(1));
-    mgr.ensure_variables(5);
-    EXPECT_EQ(mgr.variable_count(), 5u);
-    const BddRef g = mgr.apply_or(f, mgr.variable(4));
-    const std::vector<double> p{0.5, 0.5, 0.0, 0.0, 0.25};
-    EXPECT_NEAR(mgr.probability(g, p), 0.25 + 0.75 * 0.25, 1e-12);
-    mgr.ensure_variables(3);  // never shrinks
-    EXPECT_EQ(mgr.variable_count(), 5u);
 }
 
 // ---- batched multi-lambda kernel --------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <unordered_map>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "scenarios/ecotwin.h"
 #include "scenarios/fig3.h"
 #include "scenarios/micro.h"
+#include "search_corpus.h"
 #include "transform/expand.h"
 
 namespace asilkit::ftree {
@@ -38,7 +40,9 @@ void expect_identical_trees(const FaultTree& a, const FaultTree& b) {
         EXPECT_EQ(a.gates()[i].children, b.gates()[i].children) << i;
     }
     ASSERT_EQ(a.has_top(), b.has_top());
-    if (a.has_top()) EXPECT_TRUE(a.top() == b.top());
+    if (a.has_top()) {
+        EXPECT_TRUE(a.top() == b.top());
+    }
 }
 
 void expect_assembly_matches(const ArchitectureModel& m, const FtBuildOptions& options) {
@@ -255,6 +259,36 @@ TEST(IncrementalTreeBuilder, TracksEditsAndStaysExact) {
     expect_matches_reference(builder.prepare(m, options), reference_of(m, options));
     EXPECT_EQ(builder.last_pass().fragments_built, 1u);
     EXPECT_EQ(builder.last_pass().fragments_reused, nodes - 1);
+}
+
+TEST(IncrementalTreeBuilder, StatsEqualTheFullBuildsStats) {
+    // prepare() takes the tree statistics from the canonical rebuild
+    // instead of a separate walk; they must equal stats() of the
+    // model's full build on every corpus model, exact and approximate,
+    // and on rate-only variants that dirty every fragment in place.
+    std::mt19937_64 rng(11);
+    std::lognormal_distribution<double> factor(0.0, 0.5);
+    for (const auto& [label, model] : testing::search_corpus_detail::corpus_models()) {
+        for (const bool approximate : {false, true}) {
+            FtBuildOptions options;
+            options.approximate = approximate;
+            IncrementalTreeBuilder builder;
+            std::vector<ArchitectureModel> variants{model};
+            for (int v = 0; v < 3; ++v) {
+                ArchitectureModel variant = model;
+                for (const ResourceId r : model.used_resources()) {
+                    variant.resources().node(r).lambda_override =
+                        model.resource_lambda(r) * factor(rng);
+                }
+                variants.push_back(std::move(variant));
+            }
+            for (const ArchitectureModel& m : variants) {
+                const IncrementalTreeBuilder::Prepared prep = builder.prepare(m, options);
+                EXPECT_EQ(prep.stats, build_fault_tree(m, options).tree.stats())
+                    << label << (approximate ? " approx" : " exact");
+            }
+        }
+    }
 }
 
 TEST(IncrementalTreeBuilder, RevisitedCompositionHitsTheMemo) {

@@ -772,8 +772,11 @@ TEST_F(CliTest, DeeplyNestedModelIsRefusedWithoutCrashing) {
 
 TEST_F(CliTest, OptionNeedingValueAtEndFails) {
     const CliRun r = run({"analyze", model(), "--hours"});
-    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_EQ(r.exit_code, 2);
     EXPECT_NE(r.err.find("needs a value"), std::string::npos);
+    const CliRun bare_o = run({"analyze", model(), "-o"});
+    EXPECT_EQ(bare_o.exit_code, 2);
+    EXPECT_NE(bare_o.err.find("-o needs a value"), std::string::npos);
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "ftree/modules.h"
+#include "helpers.h"
 
 namespace asilkit::ftree {
 namespace {
@@ -19,6 +25,39 @@ TEST(FaultTree, ConflictingLambdaRejected) {
     FaultTree ft;
     ft.add_basic_event("e", 1e-6);
     EXPECT_THROW((void)ft.add_basic_event("e", 2e-6), AnalysisError);
+}
+
+TEST(FaultTree, ConflictingLambdaRejectedThroughEveryOverload) {
+    // add_basic_event looks the name up before storing anything; a
+    // conflicting rate must still be refused whichever overload names
+    // the event, and the refused call must leave the tree unchanged.
+    FaultTree ft;
+    const std::string name = "res:a_resource_name_longer_than_sso";
+    const FtRef e = ft.add_basic_event(name, 1e-6);
+    EXPECT_THROW((void)ft.add_basic_event(name, 2e-6), AnalysisError);
+    EXPECT_THROW((void)ft.add_basic_event(std::string_view(name), 2e-6), AnalysisError);
+    EXPECT_THROW((void)ft.add_basic_event(std::string(name), 2e-6), AnalysisError);
+    EXPECT_THROW((void)ft.add_basic_event(name.c_str(), 2e-6), AnalysisError);
+    EXPECT_EQ(ft.basic_events().size(), 1u);
+    EXPECT_EQ(ft.add_basic_event(std::string(name), 1e-6), e);
+    EXPECT_EQ(ft.add_basic_event(std::string_view(name), 1e-6), e);
+    EXPECT_EQ(ft.basic_events().size(), 1u);
+    EXPECT_EQ(ft.basic_event(e).name, name);
+}
+
+TEST(FaultTree, ReserveKeepsEventsAndLookups) {
+    FaultTree ft;
+    const FtRef a = ft.add_basic_event("a", 1e-6);
+    ft.reserve(100, 10);  // rebuilds the name index around existing events
+    EXPECT_EQ(ft.find_basic_event("a"), a);
+    for (int i = 0; i < 100; ++i) (void)ft.add_basic_event("e" + std::to_string(i), 1e-6);
+    ft.reserve(4, 1);  // never shrinks
+    EXPECT_EQ(ft.basic_events().size(), 101u);
+    EXPECT_EQ(ft.find_basic_event("a"), a);
+    for (int i = 0; i < 100; ++i) {
+        const FtRef r = ft.find_basic_event("e" + std::to_string(i));
+        EXPECT_EQ(ft.basic_event(r).name, "e" + std::to_string(i));
+    }
 }
 
 TEST(FaultTree, GateConstruction) {
@@ -386,6 +425,78 @@ TEST(CanonicalForm, ConstructionOrderOfTiedSharedEventsDoesNotChangeHashes) {
     EXPECT_EQ(c1.structural_hash(), c2.structural_hash());
     EXPECT_EQ(c1.shape_hash(), c2.shape_hash());
     EXPECT_TRUE(identical_shape(c1, c2));
+}
+
+TEST(CanonicalForm, FullyTiedChildrenKeepTheirOriginalOrder) {
+    // Children that tie on the whole ordering key — equal-rate events
+    // referenced once from the same gate — keep their original relative
+    // order.  Sizes past std::sort's insertion-sort cutoff exercise the
+    // partitioning path, where only the position key can keep it.
+    for (const std::size_t n : {3u, 17u, 64u}) {
+        FaultTree ft;
+        std::vector<FtRef> events;
+        for (std::size_t i = 0; i < n; ++i) {
+            events.push_back(ft.add_basic_event("e" + std::to_string(i), 1e-6));
+        }
+        // A child order unrelated to event numbering: a stride permutation.
+        std::vector<FtRef> children;
+        for (std::size_t i = 0; i < n; ++i) children.push_back(events[(i * 7 + 3) % n]);
+        ft.set_top(ft.add_gate("top", GateKind::Or, children));
+
+        for (const bool move_source : {false, true}) {
+            FaultTree source = ft;
+            const CanonicalTree canon =
+                move_source ? canonicalize(std::move(source)) : canonicalize(source);
+            const Gate& top = canon.tree.gate(canon.tree.top());
+            ASSERT_EQ(top.children.size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(canon.tree.basic_event(top.children[i]).name,
+                          ft.basic_event(children[i]).name)
+                    << "n=" << n << " slot " << i;
+            }
+        }
+    }
+}
+
+TEST(CanonicalForm, MovedSourceMatchesCopiedSource) {
+    // canonicalize(FaultTree&&) moves names and child lists out of the
+    // source; the result must equal the copying edition bit for bit, and
+    // the stats it folds up must equal stats() of either tree.
+    for (std::uint32_t seed = 0; seed < 40; ++seed) {
+        const FaultTree ft = testing::random_fault_tree(seed, 3 + seed % 11, 2 + seed % 7);
+        const CanonicalTree copied = canonicalize(ft);
+        FaultTree source = ft;
+        const CanonicalTree moved = canonicalize(std::move(source));
+        ASSERT_EQ(copied.tree.basic_events().size(), moved.tree.basic_events().size());
+        for (std::size_t i = 0; i < copied.tree.basic_events().size(); ++i) {
+            EXPECT_EQ(copied.tree.basic_events()[i].name, moved.tree.basic_events()[i].name);
+            EXPECT_EQ(copied.tree.basic_events()[i].lambda, moved.tree.basic_events()[i].lambda);
+        }
+        ASSERT_EQ(copied.tree.gates().size(), moved.tree.gates().size());
+        for (std::size_t g = 0; g < copied.tree.gates().size(); ++g) {
+            EXPECT_EQ(copied.tree.gates()[g].name, moved.tree.gates()[g].name);
+            EXPECT_EQ(copied.tree.gates()[g].kind, moved.tree.gates()[g].kind);
+            EXPECT_EQ(copied.tree.gates()[g].children, moved.tree.gates()[g].children);
+        }
+        EXPECT_TRUE(copied.tree.top() == moved.tree.top());
+        EXPECT_EQ(copied.structural_hash, moved.structural_hash);
+        EXPECT_EQ(copied.shape_hash, moved.shape_hash);
+        EXPECT_EQ(copied.stats, ft.stats()) << "seed " << seed;
+        EXPECT_EQ(moved.stats, copied.tree.stats()) << "seed " << seed;
+        // Every event name of the canonical tree resolves through its index.
+        for (const BasicEvent& e : moved.tree.basic_events()) {
+            EXPECT_EQ(moved.tree.basic_event(moved.tree.find_basic_event(e.name)).name, e.name);
+        }
+    }
+}
+
+TEST(CanonicalForm, BasicEventTopCarriesLeafStats) {
+    FaultTree ft;
+    ft.set_top(ft.add_basic_event("only", 1e-6));
+    const CanonicalTree canon = canonicalize(FaultTree(ft));
+    EXPECT_EQ(canon.stats, ft.stats());
+    EXPECT_EQ(canon.tree.basic_event(canon.tree.top()).name, "only");
+    EXPECT_EQ(canon.structural_hash, ft.structural_hash());
 }
 
 }  // namespace
