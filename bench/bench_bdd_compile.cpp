@@ -30,7 +30,7 @@ namespace {
 ftree::FaultTree tree_with_blocks(std::size_t blocks) {
     ArchitectureModel m = scenarios::chain_n_stages(blocks);
     for (std::size_t i = 1; i <= blocks; ++i) {
-        transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+        transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
     }
     return ftree::build_fault_tree(m).tree;
 }
@@ -197,7 +197,7 @@ void BM_ProbabilityBatch(benchmark::State& state) {
     state.counters["batch_lanes"] = static_cast<double>(k);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(k));
-    state.SetLabel("k=" + std::to_string(k));
+    state.SetLabel(std::string("k=").append(std::to_string(k)));
 }
 BENCHMARK(BM_ProbabilityBatch)->Arg(1)->Arg(8)->Arg(64);
 
@@ -214,7 +214,7 @@ void BM_ProbabilitySequential(benchmark::State& state) {
     state.counters["batch_lanes"] = static_cast<double>(k);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(k));
-    state.SetLabel("k=" + std::to_string(k));
+    state.SetLabel(std::string("k=").append(std::to_string(k)));
 }
 BENCHMARK(BM_ProbabilitySequential)->Arg(1)->Arg(8)->Arg(64);
 

@@ -33,8 +33,7 @@ void print_report() {
     const double p_shared = analysis::analyze_failure_probability(shared).failure_probability;
     const double c_shared = cost::total_cost(shared, cost::CostMetric::exponential_metric1());
     bench::compare("P(fail) shared mapping", "4.26e-9", p_shared);
-    bench::row("resources", std::to_string(opt.resources_before) + " -> " +
-                                std::to_string(opt.resources_after));
+    bench::row("resources", std::to_string(opt.resources_before) + std::string(" -> ").append(std::to_string(opt.resources_after)));
     std::printf("  %-46s %.6g -> %.6g\n", "cost", c_dedicated, c_shared);
 
     bench::heading("Shared mapping inside redundant branches (CCF-safe)");
@@ -58,7 +57,7 @@ void BM_OptimizeMapping(benchmark::State& state) {
         state.PauseTiming();
         ArchitectureModel m = scenarios::chain_n_stages(6);
         for (int i = 1; i <= 6; ++i) {
-            transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+            transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
         }
         state.ResumeTiming();
         benchmark::DoNotOptimize(explore::optimize_mapping(m));

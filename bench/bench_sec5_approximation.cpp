@@ -24,7 +24,7 @@ namespace {
 ArchitectureModel expanded_chain(std::size_t blocks) {
     ArchitectureModel m = scenarios::chain_n_stages(blocks);
     for (std::size_t i = 1; i <= blocks; ++i) {
-        transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+        transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
     }
     return m;
 }
@@ -43,11 +43,9 @@ void print_report() {
                (exact.failure_probability - approx.failure_probability) /
                    exact.failure_probability);
     bench::compare("fault-tree nodes exact", "87",
-                   std::to_string(exact.ft_stats.expanded_nodes) + " (expanded) / " +
-                       std::to_string(exact.ft_stats.dag_nodes) + " (DAG)");
+                   std::to_string(exact.ft_stats.expanded_nodes) + std::string(" (expanded) / ").append(std::to_string(exact.ft_stats.dag_nodes)) + " (DAG)");
     bench::compare("fault-tree nodes approximated", "51",
-                   std::to_string(approx.ft_stats.expanded_nodes) + " (expanded) / " +
-                       std::to_string(approx.ft_stats.dag_nodes) + " (DAG)");
+                   std::to_string(approx.ft_stats.expanded_nodes) + std::string(" (expanded) / ").append(std::to_string(approx.ft_stats.dag_nodes)) + " (DAG)");
 
     bench::heading("Path blow-up: 2^n growth vs approximation (n expanded blocks)");
     std::printf("  %-8s %-16s %-16s %-14s %-14s %-12s\n", "blocks", "paths(exact)",

@@ -109,20 +109,28 @@ ModuleEvalResult ModuleEvaluator::evaluate_module(const FaultTree& ft,
                                                   std::size_t module_index,
                                                   std::span<const double> child_probabilities,
                                                   double mission_hours) {
-    const FaultTree* const trees[1] = {&ft};
     const std::span<const double> child_probs[1] = {child_probabilities};
     ModuleEvalResult out[1];
-    evaluate(trees, dec, module_index, child_probs, mission_hours, out);
+    evaluate(ft, dec, module_index, {}, child_probs, mission_hours, out);
     return out[0];
 }
 
-std::vector<ModuleEvalResult> ModuleEvaluator::evaluate_module_lanes(
-    std::span<const FaultTree* const> lane_trees, const ftree::ModuleDecomposition& dec,
-    std::size_t module_index, std::span<const std::span<const double>> lane_child_probabilities,
-    double mission_hours) {
-    std::vector<ModuleEvalResult> out(lane_trees.size());
-    evaluate(lane_trees, dec, module_index, lane_child_probabilities, mission_hours, out);
-    return out;
+void ModuleEvaluator::evaluate_module_lanes(
+    const FaultTree& skeleton, const ftree::ModuleDecomposition& dec, std::size_t module_index,
+    std::span<const std::span<const double>> lane_lambdas,
+    std::span<const std::span<const double>> lane_child_probabilities, double mission_hours,
+    std::span<ModuleEvalResult> out) {
+    if (lane_lambdas.size() != lane_child_probabilities.size() ||
+        out.size() != lane_lambdas.size()) {
+        throw AnalysisError("evaluate_module_lanes: lane count mismatch");
+    }
+    for (const std::span<const double> lambdas : lane_lambdas) {
+        if (lambdas.size() != skeleton.basic_events().size()) {
+            throw AnalysisError("evaluate_module_lanes: lane rate count mismatch");
+        }
+    }
+    evaluate(skeleton, dec, module_index, lane_lambdas, lane_child_probabilities, mission_hours,
+             out);
 }
 
 void ModuleEvaluator::order(const FaultTree& ft, const ftree::ModuleDecomposition& dec,
@@ -191,26 +199,28 @@ BddRef ModuleEvaluator::compile(const FaultTree& ft, FtRef r) {
     return acc;
 }
 
-void ModuleEvaluator::evaluate(std::span<const FaultTree* const> lane_trees,
-                               const ftree::ModuleDecomposition& dec, std::size_t module_index,
+void ModuleEvaluator::evaluate(const FaultTree& ft, const ftree::ModuleDecomposition& dec,
+                               std::size_t module_index,
+                               std::span<const std::span<const double>> lane_lambdas,
                                std::span<const std::span<const double>> lane_child_probabilities,
                                double mission_hours, std::span<ModuleEvalResult> out) {
-    const std::size_t k = lane_trees.size();
+    const std::size_t k = lane_child_probabilities.size();
     if (k == 0) throw AnalysisError("evaluate_module_lanes: no lanes");
-    if (lane_child_probabilities.size() != k) {
-        throw AnalysisError("evaluate_module_lanes: lane/probability count mismatch");
-    }
     const ftree::Module& mod = dec.modules.at(module_index);
     for (std::size_t j = 0; j < k; ++j) {
         if (lane_child_probabilities[j].size() != mod.child_modules.size()) {
             throw AnalysisError("evaluate_module: child probability count mismatch");
         }
     }
+    // Lane j's rate of event e: its own span's, or the tree's.
+    const auto lambda = [&](std::size_t j, std::uint32_t e) {
+        return lane_lambdas.empty() ? ft.basic_event(e).lambda : lane_lambdas[j][e];
+    };
     if (mod.root.kind == FtRef::Kind::Basic) {
         // Leaf module: the whole tree is one basic event (per-lane rate).
+        (void)ft.basic_event(mod.root.index);  // range check
         for (std::size_t j = 0; j < k; ++j) {
-            out[j].probability = basic_event_probability(
-                lane_trees[j]->basic_event(mod.root.index).lambda, mission_hours);
+            out[j].probability = basic_event_probability(lambda(j, mod.root.index), mission_hours);
             out[j].variables = 1;
             out[j].bdd_nodes = 1;
             out[j].bdd_total_nodes = 1;
@@ -220,15 +230,15 @@ void ModuleEvaluator::evaluate(std::span<const FaultTree* const> lane_trees,
 
     const obs::ObsSpan span("evaluate_module", "bdd", "module",
                             static_cast<double>(module_index));
-    const FaultTree& rep = *lane_trees.front();
-    order(rep, dec, mod);
+    order(ft, dec, mod);
     const std::size_t nvars = leaves_.size();
     manager_.reset(static_cast<std::uint32_t>(nvars));
-    const BddRef root = compile(rep, mod.root);
+    const BddRef root = compile(ft, mod.root);
 
     // One probability vector per lane, in the shared variable order:
-    // shape-identical lanes differ only in rates (and pseudo-variable
-    // probabilities), so event/child indices address every lane.
+    // the lanes share the skeleton and differ only in rates (and
+    // pseudo-variable probabilities), so event/child indices address
+    // every lane.
     lanes_.resize(k);
     for (std::size_t j = 0; j < k; ++j) {
         ProbVector& lane = lanes_[j];
@@ -236,9 +246,7 @@ void ModuleEvaluator::evaluate(std::span<const FaultTree* const> lane_trees,
         for (std::size_t v = 0; v < nvars; ++v) {
             const Leaf& leaf = leaves_[v];
             lane[v] = leaf.pseudo ? lane_child_probabilities[j][leaf.index]
-                                  : basic_event_probability(
-                                        lane_trees[j]->basic_event(leaf.index).lambda,
-                                        mission_hours);
+                                  : basic_event_probability(lambda(j, leaf.index), mission_hours);
         }
     }
     lane_out_.resize(k);

@@ -100,29 +100,34 @@ public:
     ModuleEvaluator(const ModuleEvaluator&) = delete;
     ModuleEvaluator& operator=(const ModuleEvaluator&) = delete;
 
-    /// See the free evaluate_module().
+    /// See the free evaluate_module(): rates read from `ft`.
     [[nodiscard]] ModuleEvalResult evaluate_module(const ftree::FaultTree& ft,
                                                    const ftree::ModuleDecomposition& dec,
                                                    std::size_t module_index,
                                                    std::span<const double> child_probabilities,
                                                    double mission_hours);
 
-    /// The batched multi-lambda edition: evaluates module `module_index`
-    /// of `dec` (detected on lane_trees[0], the representative) for k
-    /// shape-identical lanes in ONE compilation and ONE SoA probability
-    /// sweep.  Lane trees must satisfy ftree::identical_shape with the
-    /// representative — index-identical structure, rates free — so one
-    /// gate/event index addresses the corresponding node of every lane.
-    /// Per-lane results are bitwise identical to k independent
-    /// evaluate_module calls.
-    [[nodiscard]] std::vector<ModuleEvalResult> evaluate_module_lanes(
-        std::span<const ftree::FaultTree* const> lane_trees,
-        const ftree::ModuleDecomposition& dec, std::size_t module_index,
-        std::span<const std::span<const double>> lane_child_probabilities, double mission_hours);
+    /// The lane edition: evaluates module `module_index` of `dec`
+    /// (detected on `skeleton`) for k lanes in ONE compilation and ONE
+    /// SoA probability sweep, writing lane j's result to out[j].  The
+    /// skeleton supplies the structure only: lane j's event rates come
+    /// from lane_lambdas[j], indexed like the skeleton's basic events (for
+    /// a canonical skeleton: canonical event order), and its
+    /// pseudo-variable probabilities from lane_child_probabilities[j],
+    /// aligned with the module's child_modules.  Rate variants that share
+    /// a canonical skeleton (ftree::IncrementalTreeBuilder::Prepared)
+    /// are lanes of it.  Lane j's result is bitwise identical to
+    /// evaluate_module on the skeleton with lane j's rates written in.
+    void evaluate_module_lanes(const ftree::FaultTree& skeleton,
+                               const ftree::ModuleDecomposition& dec, std::size_t module_index,
+                               std::span<const std::span<const double>> lane_lambdas,
+                               std::span<const std::span<const double>> lane_child_probabilities,
+                               double mission_hours, std::span<ModuleEvalResult> out);
 
 private:
-    void evaluate(std::span<const ftree::FaultTree* const> lane_trees,
-                  const ftree::ModuleDecomposition& dec, std::size_t module_index,
+    /// Both editions; empty `lane_lambdas` means one lane with ft's rates.
+    void evaluate(const ftree::FaultTree& ft, const ftree::ModuleDecomposition& dec,
+                  std::size_t module_index, std::span<const std::span<const double>> lane_lambdas,
                   std::span<const std::span<const double>> lane_child_probabilities,
                   double mission_hours, std::span<ModuleEvalResult> out);
     /// Numbers the module's leaves in the paper's local order (BFS from

@@ -68,29 +68,75 @@ public:
     explicit OptionError(const std::string& what) : Error("invalid option: " + what) {}
 };
 
-/// Every --option any command reads, and whether a value follows it.  An
-/// unknown --key is refused here, before it can swallow the next token
-/// as its value.
+/// Every --option, whether a value follows it, and the commands that read
+/// it ("*": every command — help and the observability session).  An
+/// unknown --key is refused while parsing, before it can swallow the next
+/// token as its value; a known option given to a command that does not
+/// read it is refused by check_options.
 struct OptionSpec {
     std::string_view name;
     bool takes_value;
+    std::string_view commands;  ///< space-separated command names, or "*"
 };
 constexpr OptionSpec kOptions[] = {
-    {"all", false},            {"approximate", false},    {"block", true},
-    {"branches", true},        {"csv", true},             {"engine", true},
-    {"format", true},          {"help", false},           {"hours", true},
-    {"is", false},             {"is-bias", true},         {"is-max-order", true},
-    {"layer", true},           {"max-nodes", true},       {"max-order", true},
-    {"merger", true},          {"metric", true},          {"metrics", true},
-    {"node", true},            {"nodes", true},           {"openmetrics-out", true},
-    {"out", true},             {"profile", false},        {"profile-format", true},
-    {"profile-out", true},     {"rate-scale", true},      {"rules", true},
-    {"sample-capacity", true}, {"sample-ndjson", true},   {"sample-out", true},
-    {"sample-period", true},   {"seed", true},            {"strategy", true},
-    {"stream-front", true},    {"strict", false},         {"threads", true},
-    {"trace", true},           {"trials", true},          {"watch-out", true},
-    {"watch-rules", true},
+    {"all", false, "connect"},
+    {"approximate", false, "analyze search stats"},
+    {"block", true, "simulate"},
+    {"branches", true, "advise expand"},
+    {"csv", true, "explore"},
+    {"engine", true, "simulate"},
+    {"format", true, "lint simulate export stats"},
+    {"help", false, "*"},
+    {"hours", true, "analyze simulate fmea search stats"},
+    {"is", false, "simulate"},
+    {"is-bias", true, "simulate"},
+    {"is-max-order", true, "simulate"},
+    {"layer", true, "export"},
+    {"max-nodes", true, "search"},
+    {"max-order", true, "tolerance"},
+    {"merger", true, "connect"},
+    {"metric", true, "analyze search explore"},
+    {"metrics", true, "*"},
+    {"node", true, "expand"},
+    {"nodes", true, "explore"},
+    {"openmetrics-out", true, "*"},
+    {"out", true, "demo lint expand connect reduce search explore export"},
+    {"profile", false, "*"},
+    {"profile-format", true, "*"},
+    {"profile-out", true, "*"},
+    {"rate-scale", true, "simulate"},
+    {"rules", true, "lint"},
+    {"sample-capacity", true, "*"},
+    {"sample-ndjson", true, "*"},
+    {"sample-out", true, "*"},
+    {"sample-period", true, "*"},
+    {"seed", true, "simulate"},
+    {"strategy", true, "advise expand explore"},
+    {"stream-front", true, "search explore"},
+    {"strict", false, "validate"},
+    {"threads", true, "simulate search stats"},
+    {"trace", true, "*"},
+    {"trials", true, "simulate"},
+    {"watch-out", true, "*"},
+    {"watch-rules", true, "*"},
 };
+
+[[nodiscard]] const OptionSpec* find_option(std::string_view name) {
+    const auto spec = std::find_if(std::begin(kOptions), std::end(kOptions),
+                                   [&](const OptionSpec& o) { return o.name == name; });
+    return spec == std::end(kOptions) ? nullptr : spec;
+}
+
+/// Whether `command` appears in the space-separated `commands` list.
+[[nodiscard]] bool lists_command(std::string_view commands, std::string_view command) {
+    if (commands == "*") return true;
+    while (!commands.empty()) {
+        const std::size_t end = std::min(commands.find(' '), commands.size());
+        if (commands.substr(0, end) == command) return true;
+        commands.remove_prefix(std::min(end + 1, commands.size()));
+    }
+    return false;
+}
 
 Args parse_args(const std::vector<std::string>& argv) {
     Args args;
@@ -98,9 +144,8 @@ Args parse_args(const std::vector<std::string>& argv) {
         const std::string& token = argv[i];
         if (token.rfind("--", 0) == 0) {
             const std::string key = token.substr(2);
-            const auto spec = std::find_if(std::begin(kOptions), std::end(kOptions),
-                                           [&](const OptionSpec& o) { return o.name == key; });
-            if (spec == std::end(kOptions)) throw OptionError(token);
+            const OptionSpec* spec = find_option(key);
+            if (spec == nullptr) throw OptionError(token);
             if (!spec->takes_value) {
                 args.options[key] = "1";
             } else if (i + 1 < argv.size()) {
@@ -645,28 +690,34 @@ int cmd_stats(const Args& args, std::ostream& out) {
     return 0;
 }
 
-int dispatch(const std::string& command, const Args& parsed, std::ostream& out,
-             std::ostream& err) {
-    if (command == "demo") return cmd_demo(parsed, out);
-    if (command == "validate") return cmd_validate(parsed, out);
-    if (command == "lint") return cmd_lint(parsed, out);
-    if (command == "analyze") return cmd_analyze(parsed, out);
-    if (command == "simulate") return cmd_simulate(parsed, out);
-    if (command == "ccf") return cmd_ccf(parsed, out);
-    if (command == "tolerance") return cmd_tolerance(parsed, out);
-    if (command == "trace") return cmd_trace(parsed, out);
-    if (command == "fmea") return cmd_fmea(parsed, out);
-    if (command == "advise") return cmd_advise(parsed, out);
-    if (command == "expand") return cmd_expand(parsed, out);
-    if (command == "connect") return cmd_connect(parsed, out);
-    if (command == "reduce") return cmd_reduce(parsed, out);
-    if (command == "search") return cmd_search(parsed, out);
-    if (command == "explore") return cmd_explore(parsed, out);
-    if (command == "export") return cmd_export(parsed, out);
-    if (command == "diff") return cmd_diff(parsed, out);
-    if (command == "stats") return cmd_stats(parsed, out);
-    err << "unknown command '" << command << "'\n" << usage();
-    return 2;
+using CommandFn = int (*)(const Args&, std::ostream&);
+constexpr std::pair<std::string_view, CommandFn> kCommands[] = {
+    {"demo", cmd_demo},         {"validate", cmd_validate}, {"lint", cmd_lint},
+    {"analyze", cmd_analyze},   {"simulate", cmd_simulate}, {"ccf", cmd_ccf},
+    {"tolerance", cmd_tolerance}, {"trace", cmd_trace},     {"fmea", cmd_fmea},
+    {"advise", cmd_advise},     {"expand", cmd_expand},     {"connect", cmd_connect},
+    {"reduce", cmd_reduce},     {"search", cmd_search},     {"explore", cmd_explore},
+    {"export", cmd_export},     {"diff", cmd_diff},         {"stats", cmd_stats},
+};
+
+[[nodiscard]] CommandFn find_command(std::string_view name) {
+    for (const auto& [command, fn] : kCommands) {
+        if (command == name) return fn;
+    }
+    return nullptr;
+}
+
+/// Refuses every option that `command` does not read (exit 2), so a
+/// foreign option cannot be silently ignored.  An unknown command is left
+/// to run_cli, which reports it.
+void check_options(const std::string& command, const Args& args) {
+    if (find_command(command) == nullptr) return;
+    for (const auto& [key, value] : args.options) {
+        if (!lists_command(find_option(key)->commands, command)) {
+            throw OptionError((key == "out" ? std::string("-o/--out") : "--" + key) +
+                              " is not an option of '" + command + "'");
+        }
+    }
 }
 
 /// RAII for the global observability options (available on every
@@ -788,6 +839,8 @@ std::string usage() {
            "            [--profile] [--profile-format text|json|collapsed]\n"
            "            [--profile-out folded.txt]\n"
            "\n"
+           "Options a command does not read are refused (exit 2).\n"
+           "\n"
            "observability (any command):\n"
            "  --trace out.json         write a Chrome/Perfetto trace of the run\n"
            "  --metrics out.json       write a metrics-registry snapshot\n"
@@ -809,8 +862,14 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
             return parsed.positionals.empty() && !parsed.has("help") ? 2 : 0;
         }
         const std::string& command = parsed.positionals.front();
+        check_options(command, parsed);
+        const CommandFn run_command = find_command(command);
+        if (run_command == nullptr) {
+            err << "unknown command '" << command << "'\n" << usage();
+            return 2;
+        }
         const ObsSession obs_session(parsed, err);
-        return dispatch(command, parsed, out, err);
+        return run_command(parsed, out);
     } catch (const OptionError& e) {
         err << "error: " << e.what() << "\n";
         return 2;

@@ -115,18 +115,16 @@ EvalEngine::PreparedModel EvalEngine::prepare(const ArchitectureModel& m,
     // therefore the same cache key, the same module decomposition, the
     // same BDD variable orders, and bit-identical arithmetic.  That is
     // what makes a cache hit safe to substitute for a fresh evaluation
-    // at any thread count.  Fragments are dirty-tracked per thread and
-    // repeat compositions served from the finished-tree memo; the
+    // at any thread count.  Fragments are dirty-tracked per thread,
+    // repeat compositions served from the finished-tree memo and rate
+    // variants of a memoized structure bound to its skeleton; the
     // assembled tree is bitwise identical to build_fault_tree.
-    ftree::IncrementalTreeBuilder::Prepared prep = ftree_lane().prepare(m, build_options);
-    p.result.ft_stats = prep.stats;
-    p.result.approximated_blocks = prep.approximated_blocks;
-    p.result.cycles_cut = prep.cycles_cut;
-    p.result.warnings = std::move(prep.warnings);
-    p.canonical = std::move(prep.canonical);
-    p.modules = std::move(prep.modules);
-    p.tree_key = hash::combine(prep.structural_hash, double_bits(options.mission_hours));
-    p.shape_hash = prep.shape_hash;
+    p.tree = ftree_lane().prepare(m, build_options);
+    p.result.ft_stats = p.tree.stats;
+    p.result.approximated_blocks = p.tree.approximated_blocks;
+    p.result.cycles_cut = p.tree.cycles_cut;
+    p.result.warnings = std::move(p.tree.warnings);
+    p.tree_key = hash::combine(p.tree.structural_hash, double_bits(options.mission_hours));
     return p;
 }
 
@@ -144,7 +142,7 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
     // candidates and replays from cache — module subtree hashes are
     // context-free, so the same region under a different tree yields
     // the same key and the same bitwise value.
-    const ftree::ModuleDecomposition& dec = *p.modules;
+    const ftree::ModuleDecomposition& dec = *p.tree.modules;
     bdd::ModuleEvaluator& evaluator = evaluator_lane();
     std::vector<double> module_prob(dec.size());
     std::vector<double> child_probs;
@@ -155,7 +153,7 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
     for (std::size_t i = 0; i < dec.size(); ++i) {
         const ftree::Module& mod = dec.modules[i];
         const std::uint64_t module_key =
-            module_cache_key(mod.subtree_hash, options.mission_hours);
+            module_cache_key(p.tree.module_hashes[i], options.mission_hours);
         if (const auto cached = cache_.lookup(module_key)) {
             ++local_hits;
             module_prob[i] = cached->failure_probability;
@@ -169,8 +167,11 @@ void EvalEngine::finish(PreparedModel& p, const analysis::ProbabilityOptions& op
         for (const std::uint32_t child : mod.child_modules) {
             child_probs.push_back(module_prob[child]);
         }
-        const bdd::ModuleEvalResult eval =
-            evaluator.evaluate_module(*p.canonical, dec, i, child_probs, options.mission_hours);
+        const std::span<const double> lambdas[1] = {p.tree.lambdas};
+        const std::span<const double> children[1] = {child_probs};
+        bdd::ModuleEvalResult eval;
+        evaluator.evaluate_module_lanes(*p.tree.canonical, dec, i, lambdas, children,
+                                        options.mission_hours, {&eval, 1});
         module_prob[i] = eval.probability;
         total.bdd_nodes += eval.bdd_nodes;
         total.bdd_total_nodes += eval.bdd_total_nodes;
@@ -190,7 +191,7 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
                               const analysis::ProbabilityOptions& options) {
     const obs::ObsSpan span("finish_group", "engine", "lanes",
                             static_cast<double>(lanes.size()));
-    // Lanes share one canonical shape but carry distinct tree keys
+    // Lanes share one canonical skeleton but carry distinct tree keys
     // (rates differ); whole-tree hits from earlier batches drop out.
     std::vector<PreparedModel*> live;
     live.reserve(lanes.size());
@@ -207,11 +208,13 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
     const std::size_t k = live.size();
     bdd::ModuleEvaluator& evaluator = evaluator_lane();
 
-    // find_modules boundaries and order are purely structural, so every
-    // lane decomposes identically; the per-lane decompositions exist
-    // because module subtree hashes (the cache keys) include the lane's
-    // rates.
-    const std::size_t nmodules = live.front()->modules->size();
+    // Module boundaries and order are purely structural, so the first
+    // lane's skeleton and decomposition address every lane; the module
+    // keys are per lane because module subtree hashes include the
+    // lane's rates.
+    const ftree::FaultTree& skeleton = *live.front()->tree.canonical;
+    const ftree::ModuleDecomposition& dec = *live.front()->tree.modules;
+    const std::size_t nmodules = dec.size();
 
     std::vector<std::vector<double>> module_prob(k, std::vector<double>(nmodules));
     std::vector<EvalValue> totals(k);
@@ -223,16 +226,16 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
     std::vector<std::size_t> eval_lanes;
     std::vector<std::pair<std::size_t, std::size_t>> dedup;  // (follower lane, leader lane)
     std::unordered_map<std::uint64_t, std::size_t> first_with_key;
-    std::vector<const ftree::FaultTree*> trees;
+    std::vector<std::span<const double>> lambda_spans;
     std::vector<std::vector<double>> child_probs;
     std::vector<std::span<const double>> child_spans;
+    std::vector<bdd::ModuleEvalResult> evals;
     for (std::size_t i = 0; i < nmodules; ++i) {
         eval_lanes.clear();
         dedup.clear();
         first_with_key.clear();
         for (std::size_t j = 0; j < k; ++j) {
-            keys[j] = module_cache_key(live[j]->modules->modules[i].subtree_hash,
-                                       options.mission_hours);
+            keys[j] = module_cache_key(live[j]->tree.module_hashes[i], options.mission_hours);
             if (const auto cached = cache_.lookup(keys[j])) {
                 ++local_hits;
                 module_prob[j][i] = cached->failure_probability;
@@ -252,25 +255,24 @@ void EvalEngine::finish_group(std::span<PreparedModel* const> lanes,
             ++local_misses;
             eval_lanes.push_back(j);
         }
-        std::vector<bdd::ModuleEvalResult> evals;
+        evals.assign(eval_lanes.size(), bdd::ModuleEvalResult{});
         if (!eval_lanes.empty()) {
-            trees.clear();
-            child_probs.clear();
-            child_spans.clear();
+            lambda_spans.clear();
             child_probs.resize(eval_lanes.size());
+            child_spans.clear();
             for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
                 const std::size_t j = eval_lanes[idx];
-                trees.push_back(live[j]->canonical.get());
-                for (const std::uint32_t child : live[j]->modules->modules[i].child_modules) {
+                lambda_spans.emplace_back(live[j]->tree.lambdas);
+                child_probs[idx].clear();
+                for (const std::uint32_t child : dec.modules[i].child_modules) {
                     child_probs[idx].push_back(module_prob[j][child]);
                 }
                 child_spans.emplace_back(child_probs[idx]);
             }
             // One compilation + one SoA sweep for every lane of the
-            // module; dec structure is lane-independent, so the first
-            // lane's decomposition addresses them all.
-            evals = evaluator.evaluate_module_lanes(trees, *live.front()->modules, i,
-                                                     child_spans, options.mission_hours);
+            // module, each lane a lambda span over the shared skeleton.
+            evaluator.evaluate_module_lanes(skeleton, dec, i, lambda_spans, child_spans,
+                                            options.mission_hours, evals);
             for (std::size_t idx = 0; idx < eval_lanes.size(); ++idx) {
                 const std::size_t j = eval_lanes[idx];
                 const bdd::ModuleEvalResult& eval = evals[idx];
@@ -331,8 +333,10 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
 
     // Phase B (serial, input order): dedup identical tree keys — the
     // follower replays its leader, a tree hit in all but name — then
-    // group the remaining leaders by canonical shape, membership
-    // confirmed by exact structural comparison (hashes only shortlist).
+    // group the remaining leaders by structure: rate variants of one
+    // structure share its canonical skeleton, which each lane confirms
+    // (the same skeleton object, or an index-identical one built by
+    // another lane's builder — keys only shortlist).
     std::unordered_map<std::uint64_t, std::size_t> leader_of_key;
     std::vector<std::pair<std::size_t, std::size_t>> followers;  // (model, leader)
     std::vector<std::size_t> leaders;
@@ -347,13 +351,14 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
         }
     }
     std::vector<std::vector<std::size_t>> units;
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> units_of_shape;
+    std::unordered_map<std::uint64_t, std::vector<std::size_t>> units_of_structure;
     for (const std::size_t i : leaders) {
-        std::vector<std::size_t>& candidates = units_of_shape[prepared[i]->shape_hash];
+        const ftree::FaultTree& skeleton = *prepared[i]->tree.canonical;
+        std::vector<std::size_t>& candidates = units_of_structure[prepared[i]->tree.structure_key];
         bool placed = false;
         for (const std::size_t u : candidates) {
-            if (ftree::identical_shape(*prepared[units[u].front()]->canonical,
-                                       *prepared[i]->canonical)) {
+            const ftree::FaultTree& rep = *prepared[units[u].front()]->tree.canonical;
+            if (&rep == &skeleton || ftree::identical_shape(rep, skeleton)) {
                 units[u].push_back(i);
                 placed = true;
                 break;
@@ -370,7 +375,6 @@ std::vector<analysis::ProbabilityResult> EvalEngine::analyze_batch(
             batch_lanes_.add(unit.size());
         }
     }
-
     // Phase C (parallel over units): singles run the ordinary tail,
     // multi-lane groups run the batched multi-lambda kernel.
     pool_.parallel_for(units.size(), [&](std::size_t u) {

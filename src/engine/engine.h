@@ -27,11 +27,15 @@
 //     (bdd::ModuleEvaluator): a BddManager reset per module plus reused
 //     ordering and compile scratch, so a module miss allocates nothing
 //     in steady state (see docs/bdd.md);
-//   * analyze_batch additionally groups candidates whose canonical
-//     trees are shape-identical — rate-only variants, ubiquitous in
-//     sensitivity sweeps — and pushes each group's modules through the
-//     batched multi-lambda probability kernel: one compilation, one SoA
-//     sweep, k results.
+//   * a rate variant of a structure the builder has met before is bound
+//     to that structure's canonical skeleton instead of built: its rates
+//     arrive as a lambda span in canonical event order, next to its own
+//     structural hash and module hashes;
+//   * analyze_batch additionally groups candidates by structure — rate
+//     variants, ubiquitous in sensitivity sweeps — and pushes each
+//     group's modules through the batched multi-lambda probability
+//     kernel: the lanes are lambda spans over one shared skeleton, so
+//     one compilation and one SoA sweep give k results.
 //
 // Determinism contract: for a fixed model and options, results are
 // bitwise identical regardless of thread count and cache capacity.  The
@@ -115,15 +119,15 @@ public:
         /// generation (explore::search_mapping reports them here so DSE
         /// accounting stays in one snapshot).
         std::uint64_t lint_rejections = 0;
-        /// Batched multi-lambda kernel view: shape-identical groups
+        /// Batched multi-lambda kernel view: same-structure groups
         /// analyze_batch formed and the lanes they carried
         /// ("engine.batch_groups" / "engine.batch_lanes").
         std::uint64_t batch_groups = 0;
         std::uint64_t batch_lanes = 0;
         /// Incremental tree generation view: component fragments
         /// regenerated vs reused by the per-thread builders
-        /// ("ftree.fragment.built" / "ftree.fragment.reused") and whole
-        /// compositions served from the finished-tree memo
+        /// ("ftree.fragment.built" / "ftree.fragment.reused") and
+        /// candidates served from a memoized structure, whole or bound
         /// ("ftree.memo_hits").
         std::uint64_t fragments_built = 0;
         std::uint64_t fragments_reused = 0;
@@ -141,15 +145,12 @@ private:
     /// half (cache lookups, modular evaluation, inserts).
     struct PreparedModel {
         analysis::ProbabilityResult result;  ///< ft_stats / warnings filled
-        /// Canonical tree, shared by reference with the incremental
-        /// builders' composition memo (repeat candidates alias ONE
-        /// immutable tree instead of each carrying a copy).
-        std::shared_ptr<const ftree::FaultTree> canonical;
-        /// Module decomposition, shared with the builder's memo like
-        /// the canonical tree.
-        std::shared_ptr<const ftree::ModuleDecomposition> modules;
+        /// Canonical skeleton, module decomposition, this model's rates
+        /// and module hashes — the skeleton and decomposition shared by
+        /// reference with the incremental builders' memo (repeat
+        /// candidates and rate variants alias ONE immutable tree).
+        ftree::IncrementalTreeBuilder::Prepared tree;
         std::uint64_t tree_key = 0;
-        std::uint64_t shape_hash = 0;
     };
     [[nodiscard]] PreparedModel prepare(const ArchitectureModel& m,
                                         const analysis::ProbabilityOptions& options);

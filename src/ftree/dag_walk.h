@@ -26,12 +26,15 @@ namespace asilkit::ftree::detail {
 /// [0, basic_count) — so callbacks may index flat arrays unchecked — and
 /// when a gate is reached again while still on the stack (a cycle).
 template <class ChildrenOf, class OnChild, class OnFinish>
-void walk_gates(std::size_t gate_count, std::size_t basic_count, std::uint32_t root,
-                ChildrenOf&& children_of, OnChild&& on_child, OnFinish&& on_finish) {
+void walk_gates(WalkScratch& scratch, std::size_t gate_count, std::size_t basic_count,
+                std::uint32_t root, ChildrenOf&& children_of, OnChild&& on_child,
+                OnFinish&& on_finish) {
     enum : std::uint8_t { kNew = 0, kOpen = 1, kDone = 2 };
     if (root >= gate_count) throw AnalysisError("gate index out of range");
-    std::vector<std::uint8_t> state(gate_count, kNew);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;  // (gate, next child slot)
+    std::vector<std::uint8_t>& state = scratch.state;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>& frames = scratch.frames;
+    state.assign(gate_count, kNew);
+    frames.clear();
     state[root] = kOpen;
     frames.emplace_back(root, 0);
     while (!frames.empty()) {
@@ -60,14 +63,30 @@ void walk_gates(std::size_t gate_count, std::size_t basic_count, std::uint32_t r
     }
 }
 
+/// walk_gates with a scratch of its own.
+template <class ChildrenOf, class OnChild, class OnFinish>
+void walk_gates(std::size_t gate_count, std::size_t basic_count, std::uint32_t root,
+                ChildrenOf&& children_of, OnChild&& on_child, OnFinish&& on_finish) {
+    WalkScratch scratch;
+    walk_gates(scratch, gate_count, basic_count, root, std::forward<ChildrenOf>(children_of),
+               std::forward<OnChild>(on_child), std::forward<OnFinish>(on_finish));
+}
+
 /// walk_gates over each gate's own (declaration-order) child list.
 template <class OnChild, class OnFinish>
-void walk_gates(const FaultTree& ft, std::uint32_t root, OnChild&& on_child, OnFinish&& on_finish) {
+void walk_gates(WalkScratch& scratch, const FaultTree& ft, std::uint32_t root, OnChild&& on_child,
+                OnFinish&& on_finish) {
     const std::span<const Gate> gates = ft.gates();
     walk_gates(
-        gates.size(), ft.basic_events().size(), root,
+        scratch, gates.size(), ft.basic_events().size(), root,
         [gates](std::uint32_t g) { return std::span<const FtRef>(gates[g].children); },
         std::forward<OnChild>(on_child), std::forward<OnFinish>(on_finish));
+}
+template <class OnChild, class OnFinish>
+void walk_gates(const FaultTree& ft, std::uint32_t root, OnChild&& on_child, OnFinish&& on_finish) {
+    WalkScratch scratch;
+    walk_gates(scratch, ft, root, std::forward<OnChild>(on_child),
+               std::forward<OnFinish>(on_finish));
 }
 
 }  // namespace asilkit::ftree::detail

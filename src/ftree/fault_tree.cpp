@@ -228,6 +228,38 @@ constexpr std::uint32_t kUnset = ~std::uint32_t{0};
     return hash::combine(kShapeSalt, id);
 }
 
+/// Preliminary ordering hashes of an event referenced from `refs` parent
+/// slots: rate-blind, and with its rate `lambda`.
+[[nodiscard]] std::uint64_t event_shape_seed(std::uint32_t refs) noexcept {
+    return hash::combine(kShapeSalt, refs);
+}
+[[nodiscard]] std::uint64_t event_full_seed(double lambda, std::uint32_t refs) noexcept {
+    return hash::combine(hash::combine(kEventSalt, double_bits(lambda)), refs);
+}
+/// The ordering-hash seed of a gate with `refs` parent slots.
+[[nodiscard]] std::uint64_t ordering_seed(GateKind kind, std::uint32_t refs) noexcept {
+    return hash::combine(gate_seed(kind), refs);
+}
+
+/// `seed` with `values` folded in ascending order (sorts `values`): the
+/// permutation-invariant fold behind every ordering hash.  Gates have a
+/// handful of children and events a handful of parents, so short lists
+/// take an inline insertion sort.
+[[nodiscard]] std::uint64_t fold_sorted(std::uint64_t seed, std::span<std::uint64_t> values) {
+    if (values.size() <= 16) {
+        for (std::size_t i = 1; i < values.size(); ++i) {
+            const std::uint64_t v = values[i];
+            std::size_t j = i;
+            for (; j > 0 && values[j - 1] > v; --j) values[j] = values[j - 1];
+            values[j] = v;
+        }
+    } else {
+        std::sort(values.begin(), values.end());
+    }
+    for (const std::uint64_t v : values) seed = hash::combine(seed, v);
+    return seed;
+}
+
 /// structural_hash() (with_rates) or shape_hash() of the DAG below `root`.
 [[nodiscard]] std::uint64_t dag_hash(const FaultTree& ft, FtRef root, bool with_rates) {
     const std::span<const BasicEvent> basics = ft.basic_events();
@@ -313,8 +345,9 @@ template <class T>
 /// buffers moved into the canonical tree).
 template <class Basic, class GateT>
 [[nodiscard]] CanonicalTree canonicalize_arenas(std::span<Basic> basics, std::span<GateT> gates,
-                                                FtRef root) {
+                                                FtRef root, RateBlindOrder* capture) {
     CanonicalTree out;
+    if (capture != nullptr) *capture = RateBlindOrder{};
     if (root.kind == FtRef::Kind::Basic) {
         if (root.index >= basics.size()) throw AnalysisError("basic event index out of range");
         Basic& e = basics[root.index];
@@ -379,14 +412,12 @@ template <class Basic, class GateT>
     // Children sort primarily by the rate-blind hash (shape + sharing),
     // with the rate-inclusive hash as tiebreaker.  Rates therefore only
     // order siblings that shape and sharing cannot separate — so a
-    // rate-only perturbation (the iterative-DSE regime: one
-    // lambda_override nudged per round) almost never reorders children,
-    // and the perturbed variants canonicalise to *index-identical*
-    // shapes.  That shape stability is what the engine's batched
-    // multi-lambda evaluation keys on (see
-    // shape_hash()/identical_shape()).  Sorting by the
-    // rate-inclusive hash alone would make every lambda nudge reshuffle
-    // siblings into an unrelated order.
+    // rate-only variant reorders nothing but the tied runs, and almost
+    // always canonicalises to an *index-identical* shape.  That is what
+    // lets a rate variant be bound to its structure's canonical tree
+    // (RateBinder replays exactly these phases for the tied runs).
+    // Sorting by the rate-inclusive hash alone would make every lambda
+    // nudge reshuffle siblings into an unrelated order.
     struct HashPair {
         std::uint64_t shape = 0;
         std::uint64_t full = 0;
@@ -406,15 +437,10 @@ template <class Basic, class GateT>
                 scratch[i] = ch.shape;
                 scratch[n + i] = ch.full;
             }
-            std::sort(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n));
-            std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(n), scratch.end());
-            const std::uint64_t seed = hash::combine(gate_seed(gate.kind), gate_refs[g]);
-            HashPair h{seed, seed};
-            for (std::size_t i = 0; i < n; ++i) {
-                h.shape = hash::combine(h.shape, scratch[i]);
-                h.full = hash::combine(h.full, scratch[n + i]);
-            }
-            gate_hash[g] = h;
+            const std::uint64_t seed = ordering_seed(gate.kind, gate_refs[g]);
+            const std::span<std::uint64_t> halves(scratch);
+            gate_hash[g] = {fold_sorted(seed, halves.first(n)),
+                            fold_sorted(seed, halves.subspan(n))};
         }
     };
 
@@ -423,9 +449,8 @@ template <class Basic, class GateT>
     // apart from a pristine branch of the same shape — and (rate,
     // reference count) when rate-inclusive.
     for (const std::uint32_t e : reached_basics) {
-        basic_hash[e].shape = hash::combine(kShapeSalt, basic_refs[e]);
-        basic_hash[e].full = hash::combine(
-            hash::combine(kEventSalt, double_bits(basics[e].lambda)), basic_refs[e]);
+        basic_hash[e].shape = event_shape_seed(basic_refs[e]);
+        basic_hash[e].full = event_full_seed(basics[e].lambda, basic_refs[e]);
     }
     hash_gates();
 
@@ -454,15 +479,11 @@ template <class Basic, class GateT>
             scratch[i] = ph.shape;
             scratch[n + i] = ph.full;
         }
-        std::sort(scratch.begin(), scratch.begin() + n);
-        std::sort(scratch.begin() + n, scratch.end());
-        HashPair ctx{kContextSalt, kContextSalt};
-        for (std::uint32_t i = 0; i < n; ++i) {
-            ctx.shape = hash::combine(ctx.shape, scratch[i]);
-            ctx.full = hash::combine(ctx.full, scratch[n + i]);
-        }
-        basic_hash[e].shape = hash::combine(basic_hash[e].shape, ctx.shape);
-        basic_hash[e].full = hash::combine(basic_hash[e].full, ctx.full);
+        const std::span<std::uint64_t> halves(scratch);
+        basic_hash[e].shape =
+            hash::combine(basic_hash[e].shape, fold_sorted(kContextSalt, halves.first(n)));
+        basic_hash[e].full =
+            hash::combine(basic_hash[e].full, fold_sorted(kContextSalt, halves.subspan(n)));
     }
     hash_gates();
 
@@ -497,6 +518,39 @@ template <class Basic, class GateT>
         sorted_range[g].first = static_cast<std::uint32_t>(sorted.size());
         for (const SortEntry& entry : order) sorted.push_back(entry.ref);
         sorted_range[g].second = static_cast<std::uint32_t>(sorted.size());
+        if (capture == nullptr) continue;
+        const std::uint32_t first = sorted_range[g].first;
+        for (std::uint32_t run = 0, i = 1; i <= order.size(); ++i) {
+            capture->sorted_position.push_back(order[i - 1].position);
+            if (i == order.size() || order[i].key.shape != order[run].key.shape) {
+                if (i - run > 1) capture->ties.emplace_back(first + run, first + i);
+                run = i;
+            }
+        }
+    }
+    if (capture != nullptr) {
+        capture->root = root.index;
+        capture->basic_count = basics.size();
+        capture->gate_count = gates.size();
+        capture->postorder = postorder;
+        capture->kinds.resize(gates.size());
+        capture->seeds.resize(gates.size());
+        for (const std::uint32_t g : postorder) {
+            capture->kinds[g] = gates[g].kind;
+            capture->seeds[g] = ordering_seed(gates[g].kind, gate_refs[g]);
+        }
+        capture->reached_basics = reached_basics;
+        capture->basic_refs = std::move(basic_refs);
+        capture->parent_begin = std::move(parent_begin);
+        capture->parents = std::move(parents);
+        capture->sorted_range = sorted_range;
+        capture->sorted = sorted;
+        capture->sorted_node.reserve(sorted.size());
+        for (const FtRef c : sorted) {
+            capture->sorted_node.push_back(c.kind == FtRef::Kind::Gate
+                                               ? static_cast<std::uint32_t>(basics.size()) + c.index
+                                               : c.index);
+        }
     }
 
     // Phase 4: rebuild depth-first over the sorted children.  Events are
@@ -556,12 +610,139 @@ template <class Basic, class GateT>
 
 CanonicalTree canonicalize(const FaultTree& ft) {
     const FtRef root = ft.top();  // throws when the tree has no top event
-    return canonicalize_arenas(ft.basic_events(), ft.gates(), root);
+    return canonicalize_arenas(ft.basic_events(), ft.gates(), root, nullptr);
 }
 
-CanonicalTree canonicalize(FaultTree&& ft) {
+CanonicalTree canonicalize(FaultTree&& ft, RateBlindOrder* order) {
     const FtRef root = ft.top();
-    return canonicalize_arenas(std::span<BasicEvent>(ft.basics_), std::span<Gate>(ft.gates_), root);
+    return canonicalize_arenas(std::span<BasicEvent>(ft.basics_), std::span<Gate>(ft.gates_), root,
+                               order);
+}
+
+std::span<const FtRef> RateBinder::children(std::uint32_t gate) const noexcept {
+    const auto [begin, end] = order_->sorted_range[gate];
+    return std::span<const FtRef>(sorted_).subspan(begin, end - begin);
+}
+
+void RateBinder::bind(const RateBlindOrder& order, std::span<const double> lambdas) {
+    order_ = &order;
+    shape_hash_.reset();
+    sorted_.assign(order.sorted.begin(), order.sorted.end());
+    if (!order.ties.empty()) {
+        // canonicalize()'s phases 1-2, rate-inclusive half only: the
+        // rate-blind half is the order's, and it alone separates every
+        // pair of siblings outside the tied runs.  Events and gates share
+        // one array: gate g is node basic_count + g.
+        const std::size_t gate_base = order.basic_count;
+        full_.resize(order.basic_count + order.gate_count);
+        const auto hash_gates = [&] {
+            for (const std::uint32_t g : order.postorder) {
+                const auto [begin, end] = order.sorted_range[g];
+                values_.resize(end - begin);
+                for (std::uint32_t k = begin; k < end; ++k) {
+                    values_[k - begin] = full_[order.sorted_node[k]];
+                }
+                full_[gate_base + g] = fold_sorted(order.seeds[g], values_);
+            }
+        };
+        for (const std::uint32_t e : order.reached_basics) {
+            full_[e] = event_full_seed(lambdas[e], order.basic_refs[e]);
+        }
+        hash_gates();
+        for (const std::uint32_t e : order.reached_basics) {
+            const std::uint32_t begin = order.parent_begin[e];
+            values_.resize(order.parent_begin[e + 1] - begin);
+            for (std::size_t i = 0; i < values_.size(); ++i) {
+                values_[i] = full_[gate_base + order.parents[begin + i]];
+            }
+            full_[e] = hash::combine(full_[e], fold_sorted(kContextSalt, values_));
+        }
+        hash_gates();
+        // Phase 3 within each tied run: (rate-inclusive hash, position).
+        for (const auto& [begin, end] : order.ties) {
+            entries_.clear();
+            for (std::uint32_t k = begin; k < end; ++k) {
+                entries_.push_back(
+                    {full_[order.sorted_node[k]], order.sorted_position[k], order.sorted[k]});
+            }
+            std::sort(entries_.begin(), entries_.end(), [](const TieEntry& a, const TieEntry& b) {
+                if (a.full != b.full) return a.full < b.full;
+                return a.position < b.position;
+            });
+            for (std::uint32_t k = begin; k < end; ++k) sorted_[k] = entries_[k - begin].ref;
+        }
+    }
+
+    // Phase 4 without the tree: events numbered on first arrival, gates
+    // on completion, the structural hash folded as the rebuild folds it.
+    basic_map_.assign(order.basic_count, kUnset);
+    gate_map_.assign(order.gate_count, kUnset);
+    out_.resize(order.gate_count);
+    lambdas_.resize(order.reached_basics.size());
+    std::uint32_t next_basic = 0;
+    std::uint32_t next_gate = 0;
+    detail::walk_gates(
+        walk_, order.gate_count, order.basic_count, order.root,
+        [this](std::uint32_t g) { return children(g); },
+        [&](std::uint32_t, FtRef c) {
+            if (c.kind == FtRef::Kind::Basic && basic_map_[c.index] == kUnset) {
+                lambdas_[next_basic] = lambdas[c.index];
+                basic_map_[c.index] = next_basic++;
+            }
+        },
+        [&](std::uint32_t g) {
+            std::uint64_t full = gate_seed(order.kinds[g]);
+            for (const FtRef c : children(g)) {
+                full = hash::combine(full, c.kind == FtRef::Kind::Gate
+                                               ? out_[c.index]
+                                               : structural_leaf(basic_map_[c.index],
+                                                                 lambdas[c.index]));
+            }
+            out_[g] = full;
+            gate_map_[g] = next_gate++;
+        });
+    structural_hash_ = out_[order.root];
+}
+
+std::uint64_t RateBinder::shape_hash() {
+    if (shape_hash_) return *shape_hash_;
+    // The rebuild's rate-blind fold over the bound order; any
+    // children-first gate order gives the same per-gate terms.
+    const RateBlindOrder& order = *order_;
+    for (const std::uint32_t g : order.postorder) {
+        std::uint64_t shape = gate_seed(order.kinds[g]);
+        for (const FtRef c : children(g)) {
+            const std::uint64_t term =
+                c.kind == FtRef::Kind::Gate ? out_[c.index] : shape_leaf(basic_map_[c.index]);
+            shape = hash::combine(shape, term);
+        }
+        out_[g] = shape;
+    }
+    shape_hash_ = out_[order.root];
+    return *shape_hash_;
+}
+
+bool RateBinder::matches(const FaultTree& skeleton) const {
+    const RateBlindOrder& order = *order_;
+    if (!skeleton.has_top() ||
+        skeleton.top() != FtRef{FtRef::Kind::Gate, gate_map_[order.root]} ||
+        skeleton.gates().size() != order.postorder.size() ||
+        skeleton.basic_events().size() != order.reached_basics.size()) {
+        return false;
+    }
+    for (const std::uint32_t g : order.postorder) {
+        const Gate& gate = skeleton.gates()[gate_map_[g]];
+        const std::span<const FtRef> kids = children(g);
+        if (gate.kind != order.kinds[g] || gate.children.size() != kids.size()) return false;
+        for (std::size_t i = 0; i < kids.size(); ++i) {
+            const FtRef c = kids[i];
+            const FtRef mapped = c.kind == FtRef::Kind::Gate
+                                     ? FtRef{FtRef::Kind::Gate, gate_map_[c.index]}
+                                     : FtRef{FtRef::Kind::Basic, basic_map_[c.index]};
+            if (gate.children[i] != mapped) return false;
+        }
+    }
+    return true;
 }
 
 FaultTree canonical_form(const FaultTree& ft) { return canonicalize(ft).tree; }

@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
@@ -65,6 +66,17 @@ struct FaultTreeStats {
 std::ostream& operator<<(std::ostream& os, const FaultTreeStats& s);
 
 struct CanonicalTree;
+struct RateBlindOrder;
+
+namespace detail {
+/// detail::walk_gates' per-gate visit states and frame stack (dag_walk.h),
+/// reusable across walks so that a caller walking many trees allocates
+/// once.
+struct WalkScratch {
+    std::vector<std::uint8_t> state;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;  // (gate, next child slot)
+};
+}  // namespace detail
 
 class FaultTree {
 public:
@@ -126,13 +138,9 @@ public:
     /// structural_hash() with the failure rates left out: two trees
     /// share a shape hash when they are isomorphic as shared DAGs with
     /// identical gate kinds, child order and event sharing, whatever
-    /// their lambdas.  This is the grouping key of the engine's batched
-    /// multi-lambda evaluation: rate-only variants of one candidate
-    /// shape collapse onto one group and share a single BDD compilation
-    /// (the BDD is a function of structure only; rates enter at the
-    /// probability sweep).  Like any 64-bit key it can collide, so
-    /// group membership is confirmed with identical_shape() before any
-    /// lane sharing.  Throws when the tree has no top event.
+    /// their lambdas.  Like any 64-bit key it can collide, so sharing
+    /// anything between same-shape trees is confirmed with
+    /// identical_shape().  Throws when the tree has no top event.
     [[nodiscard]] std::uint64_t shape_hash() const;
 
     /// The basic events reachable from `root` (deduplicated, by index).
@@ -152,7 +160,7 @@ private:
     void rehash_names(std::size_t capacity);
 
     /// Moves names and child lists out of the discarded source tree.
-    friend CanonicalTree canonicalize(FaultTree&& ft);
+    friend CanonicalTree canonicalize(FaultTree&& ft, RateBlindOrder* order);
 
     std::vector<BasicEvent> basics_;
     std::vector<Gate> gates_;
@@ -206,8 +214,91 @@ struct CanonicalTree {
 [[nodiscard]] CanonicalTree canonicalize(const FaultTree& ft);
 /// The same canonical tree, built by moving the names and child lists out
 /// of `ft` instead of copying them; `ft` is left fit only for destruction
-/// or assignment.
-[[nodiscard]] CanonicalTree canonicalize(FaultTree&& ft);
+/// or assignment.  With `order`, also keeps the rate-blind half of the
+/// work there, so that rate variants of `ft` can be bound (RateBinder)
+/// instead of canonicalized; a basic-event top leaves `order` empty.
+[[nodiscard]] CanonicalTree canonicalize(FaultTree&& ft, RateBlindOrder* order = nullptr);
+
+/// The rate-blind half of one canonicalization, indexed like its source
+/// tree.  A *rate variant* of that source — the same arenas and child
+/// lists, other lambdas — orders its children by the same rate-blind
+/// keys; only siblings tied on the rate-blind key are ordered by rates
+/// (the rate-inclusive key, then the original position).  So the order
+/// keeps, per reachable gate, its children in rate-blind sorted order and
+/// the runs of them that tie, together with what the rate-inclusive
+/// ordering hashes are computed from: the children-first gate order, the
+/// gates' seeds (kind and reference count), the events' reference counts
+/// and the event -> parent-gate lists.
+struct RateBlindOrder {
+    std::uint32_t root = 0;
+    std::size_t basic_count = 0;
+    std::size_t gate_count = 0;
+    std::vector<std::uint32_t> postorder;      ///< reachable gates, children first
+    std::vector<GateKind> kinds;               ///< per gate
+    std::vector<std::uint64_t> seeds;          ///< per gate: ordering-hash seed
+    std::vector<std::uint32_t> reached_basics;  ///< first-reached order
+    std::vector<std::uint32_t> basic_refs;     ///< per event: parent slots
+    /// Event e's parent gates: parents[parent_begin[e], parent_begin[e + 1]).
+    std::vector<std::uint32_t> parent_begin;
+    std::vector<std::uint32_t> parents;
+    /// Gate g's children in rate-blind order: sorted[range.first, range.second).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_range;
+    std::vector<FtRef> sorted;
+    /// Each sorted child as one node number: an event's index, or
+    /// basic_count + a gate's index.
+    std::vector<std::uint32_t> sorted_node;
+    std::vector<std::uint32_t> sorted_position;  ///< each sorted child's slot in its gate
+    /// Runs [begin, end) of `sorted` whose children tie on the rate-blind key.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> ties;
+};
+
+/// Canonicalizes rate variants without building a tree.  bind() replays
+/// canonicalize() on the source a RateBlindOrder was captured from, with
+/// other lambdas: it recomputes only the rate-inclusive ordering hashes,
+/// re-sorts only the tied runs, and replays the rebuild's numbering over
+/// the result.  The structural and shape hashes, and the rates in
+/// canonical event order, are then bit-identical to what canonicalize()
+/// returns for the variant's tree; matches() tells whether that tree is
+/// also index-identical to a given canonical tree (rates aside), i.e.
+/// whether the variant can share it as its skeleton.  Reusable and
+/// single-threaded: its working arrays are kept across binds.
+class RateBinder {
+public:
+    /// `lambdas` is indexed like the source tree's basic events.  The
+    /// order must outlive the results' use.
+    void bind(const RateBlindOrder& order, std::span<const double> lambdas);
+
+    [[nodiscard]] std::uint64_t structural_hash() const noexcept { return structural_hash_; }
+    /// Folded on first request after a bind: a variant that matches its
+    /// skeleton has the skeleton's shape hash and never asks.
+    [[nodiscard]] std::uint64_t shape_hash();
+    /// The last bind's rates in canonical event order.
+    [[nodiscard]] std::span<const double> lambdas() const noexcept { return lambdas_; }
+    /// Whether the last bind's canonical tree has `skeleton`'s gate kinds,
+    /// child lists, event count and top.
+    [[nodiscard]] bool matches(const FaultTree& skeleton) const;
+
+private:
+    struct TieEntry {
+        std::uint64_t full = 0;
+        std::uint32_t position = 0;
+        FtRef ref{};
+    };
+    [[nodiscard]] std::span<const FtRef> children(std::uint32_t gate) const noexcept;
+
+    const RateBlindOrder* order_ = nullptr;
+    std::vector<FtRef> sorted_;
+    std::vector<std::uint64_t> full_;  ///< per node: rate-inclusive ordering hash
+    std::vector<std::uint64_t> values_;
+    std::vector<TieEntry> entries_;
+    std::vector<std::uint32_t> basic_map_;
+    std::vector<std::uint32_t> gate_map_;
+    std::vector<std::uint64_t> out_;  ///< per gate: rebuild hash term
+    std::vector<double> lambdas_;
+    detail::WalkScratch walk_;
+    std::uint64_t structural_hash_ = 0;
+    std::optional<std::uint64_t> shape_hash_;
+};
 
 /// Exact index-wise structural equality ignoring names and failure
 /// rates: same gate count/kinds/child lists, same basic-event count,
@@ -216,9 +307,9 @@ struct CanonicalTree {
 /// direction), and exact for trees built by canonical_form(), whose
 /// rebuild numbers nodes in a structure-determined traversal order:
 /// shape-identical canonical trees are index-identical.  This is the
-/// collision-proof confirmation behind shape_hash() grouping, and it
-/// guarantees that an event/gate index in one tree addresses the
-/// corresponding node of every tree in the group.
+/// collision-proof confirmation behind sharing one canonical skeleton
+/// (or one cut-set enumeration) among rate variants: an event/gate index
+/// in one tree addresses the corresponding node of every tree sharing it.
 [[nodiscard]] bool identical_shape(const FaultTree& a, const FaultTree& b);
 
 }  // namespace asilkit::ftree

@@ -40,10 +40,55 @@ void count_decomposition(const ModuleDecomposition& dec) {
 
 }  // namespace
 
-ModuleDecomposition find_modules(const FaultTree& ft) {
+std::optional<std::uint32_t> ModuleDecomposition::module_of(std::uint32_t gate) const noexcept {
+    for (std::size_t i = 0; i < modules.size(); ++i) {
+        const FtRef root = modules[i].root;
+        if (root.kind == FtRef::Kind::Gate && root.index == gate) {
+            return static_cast<std::uint32_t>(i);
+        }
+    }
+    return std::nullopt;
+}
+
+void module_hashes(const ModuleHashPlan& plan, std::span<const double> lambdas,
+                   std::span<std::uint64_t> out, std::vector<std::uint64_t>& gate_scratch) {
+    using Term = ModuleHashPlan::Term;
+    if (!plan.slot_begin.empty()) gate_scratch.resize(plan.slot_begin.size() - 1);
+    for (const ModuleHashPlan::Step& step : plan.steps) {
+        std::uint64_t h = step.seed;
+        const std::uint32_t end = plan.slot_begin[step.gate + 1];
+        for (std::uint32_t k = plan.slot_begin[step.gate]; k < end; ++k) {
+            const ModuleHashPlan::Slot& slot = plan.slots[k];
+            std::uint64_t ch = 0;
+            switch (slot.term) {
+                case Term::Event:
+                    ch = hash::combine(slot.salt, lambda_bits(lambdas[slot.index]));
+                    break;
+                case Term::Pseudo:
+                    ch = hash::combine(slot.salt, out[slot.index]);
+                    break;
+                case Term::Gate:
+                    ch = gate_scratch[slot.index];
+                    break;
+            }
+            h = hash::combine(h, ch);
+        }
+        if (step.module == ModuleHashPlan::kNotAModule) {
+            gate_scratch[step.gate] = h;
+        } else {
+            out[step.module] = hash::combine(kModuleTreeSalt, h);
+        }
+    }
+}
+
+ModuleDecomposition ModuleFinder::find(const FaultTree& ft, ModuleHashPlan* plan_out) {
     const obs::ObsSpan span("find_modules", "ftree");
     ModuleDecomposition dec;
     const FtRef top = ft.top();
+    ModuleHashPlan& plan = plan_out != nullptr ? *plan_out : plan_;
+    plan.steps.clear();
+    plan.slot_begin.clear();
+    plan.slots.clear();
 
     if (top.kind == FtRef::Kind::Basic) {
         Module m;
@@ -60,7 +105,6 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     const std::size_t gate_count = ft.gates().size();
     const std::size_t basic_count = ft.basic_events().size();
     const std::span<const Gate> gates = ft.gates();
-    const std::span<const BasicEvent> basics = ft.basic_events();
 
     // Phase 1: DFS visit dates.  Every edge is traversed exactly once
     // (an already-expanded gate is dated again but not re-expanded), so
@@ -68,52 +112,48 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     // outside that subtree root's [first-arrival, completion] window.
     // The walk also yields the reachable gates children-first.
     constexpr std::uint64_t kUnvisited = 0;
-    std::vector<std::uint64_t> basic_lo(basic_count, kUnvisited);
-    std::vector<std::uint64_t> basic_hi(basic_count, 0);
-    std::vector<std::uint64_t> gate_lo(gate_count, kUnvisited);
-    std::vector<std::uint64_t> gate_hi(gate_count, 0);
-    std::vector<std::uint64_t> gate_fin(gate_count, 0);
-    std::vector<std::uint32_t> postorder;
+    basic_lo_.assign(basic_count, kUnvisited);
+    basic_hi_.assign(basic_count, 0);
+    dates_.assign(gate_count, GateDates{});
+    postorder_.clear();
     std::uint64_t t = 1;
-    gate_lo[top.index] = t;
+    dates_[top.index].lo = t;
     detail::walk_gates(
-        ft, top.index,
+        walk_, ft, top.index,
         [&](std::uint32_t, FtRef c) {
             ++t;
             if (c.kind == FtRef::Kind::Basic) {
-                if (basic_lo[c.index] == kUnvisited) basic_lo[c.index] = t;
-                basic_hi[c.index] = t;
-            } else if (gate_lo[c.index] != kUnvisited) {
-                gate_hi[c.index] = t;  // dates are monotone: later revisits win
+                if (basic_lo_[c.index] == kUnvisited) basic_lo_[c.index] = t;
+                basic_hi_[c.index] = t;
+            } else if (dates_[c.index].lo != kUnvisited) {
+                dates_[c.index].hi = t;  // dates are monotone: later revisits win
             } else {
-                gate_lo[c.index] = t;
+                dates_[c.index].lo = t;
             }
         },
         [&](std::uint32_t g) {
             ++t;
-            gate_fin[g] = t;
-            gate_hi[g] = t;
-            postorder.push_back(g);
+            dates_[g].fin = t;
+            dates_[g].hi = t;
+            postorder_.push_back(g);
         });
 
     // Phase 2: per-gate min/max visit date over the gate and all its
     // descendants, children-first.
-    std::vector<std::uint64_t> gate_min(gate_count, 0);
-    std::vector<std::uint64_t> gate_max(gate_count, 0);
     auto span_of = [&](FtRef r) -> std::pair<std::uint64_t, std::uint64_t> {
-        if (r.kind == FtRef::Kind::Basic) return {basic_lo[r.index], basic_hi[r.index]};
-        return {gate_min[r.index], gate_max[r.index]};
+        if (r.kind == FtRef::Kind::Basic) return {basic_lo_[r.index], basic_hi_[r.index]};
+        return {dates_[r.index].min, dates_[r.index].max};
     };
-    for (const std::uint32_t g : postorder) {
-        std::uint64_t mn = gate_lo[g];
-        std::uint64_t mx = gate_hi[g];
+    for (const std::uint32_t g : postorder_) {
+        std::uint64_t mn = dates_[g].lo;
+        std::uint64_t mx = dates_[g].hi;
         for (const FtRef c : gates[g].children) {
             const auto [cmn, cmx] = span_of(c);
             mn = std::min(mn, cmn);
             mx = std::max(mx, cmx);
         }
-        gate_min[g] = mn;
-        gate_max[g] = mx;
+        dates_[g].min = mn;
+        dates_[g].max = mx;
     }
 
     // Phase 3: the module test.  A gate is a module iff every strict
@@ -122,119 +162,120 @@ ModuleDecomposition find_modules(const FaultTree& ft) {
     // gate's own revisit dates are deliberately excluded: a shared
     // module is still a module (its pseudo-variable simply occurs
     // several times in the enclosing region).
-    std::vector<char> is_module(gate_count, 0);
-    for (const std::uint32_t g : postorder) {
+    gate_marks_.assign(gate_count, GateMarks{});
+    for (const std::uint32_t g : postorder_) {
         bool mod = true;
         for (const FtRef c : gates[g].children) {
             const auto [cmn, cmx] = span_of(c);
-            if (cmn < gate_lo[g] || cmx > gate_fin[g]) {
+            if (cmn < dates_[g].lo || cmx > dates_[g].fin) {
                 mod = false;
                 break;
             }
         }
-        is_module[g] = mod ? 1 : 0;
+        gate_marks_[g].is_module = mod;
     }
-    is_module[top.index] = 1;  // the whole tree is always a module
+    gate_marks_[top.index].is_module = true;  // the whole tree is always a module
 
-    // Phase 4: build the decomposition bottom-up.  Each module's local
-    // region is walked depth-first; a nested module root met for the
-    // first time opens its own region on the same explicit stack and is
-    // finished — and appended to dec.modules — before its parent region
-    // resumes, so modules come out children-before-parents.  Nested
-    // module roots become pseudo leaves whose hash composes the child
-    // module's subtree hash, so the resulting hash is a context-free
-    // fingerprint of the module's full subtree.  Local leaf ids (events
-    // and pseudo leaves share one first-occurrence counter per region)
-    // capture the sharing pattern exactly as
-    // FaultTree::structural_hash() does.  Per-node leaf ids and gate
-    // hashes are stamped with the region that assigned them.
-    constexpr std::uint32_t kNone = ~std::uint32_t{0};
-    struct Region {
-        std::uint32_t id = 0;
-        std::uint64_t next_leaf = 0;
-        Module module;
-    };
-    struct Frame {
-        std::uint32_t gate = 0;
-        std::uint32_t slot = 0;
-        std::uint64_t hash = 0;
-        bool region_root = false;
-    };
-    std::vector<std::uint32_t> event_region(basic_count, kNone);
-    std::vector<std::uint64_t> event_leaf(basic_count, 0);
-    std::vector<std::uint32_t> gate_region(gate_count, kNone);  // stamps gate_hash
-    std::vector<std::uint64_t> gate_hash(gate_count, 0);
-    std::vector<std::uint32_t> pseudo_region(gate_count, kNone);
-    std::vector<std::uint64_t> pseudo_leaf(gate_count, 0);
-    std::vector<std::uint32_t> module_index(gate_count, kNone);
-    std::vector<Region> regions;
-    std::vector<Frame> frames;
+    // Phase 4: build the decomposition bottom-up and record the hash
+    // recipe.  Each module's local region is walked depth-first; a
+    // nested module root met for the first time opens its own region on
+    // the same explicit stack and is finished — and appended to
+    // dec.modules — before its parent region resumes, so modules come
+    // out children-before-parents.  Nested module roots become pseudo
+    // leaves whose hash composes the child module's subtree hash, so the
+    // resulting hash is a context-free fingerprint of the module's full
+    // subtree.  Local leaf ids (events and pseudo leaves share one
+    // first-occurrence counter per region) capture the sharing pattern
+    // exactly as FaultTree::structural_hash() does.  Per-node leaf ids
+    // are stamped with the region that assigned them.  Each child slot's
+    // term lands in the plan; the hashes themselves are folded from it
+    // afterwards (module_hashes), in the walk's completion order.
+    plan.slot_begin.resize(gate_count + 1);
+    plan.slot_begin[0] = 0;
+    for (std::size_t g = 0; g < gate_count; ++g) {
+        plan.slot_begin[g + 1] =
+            plan.slot_begin[g] + static_cast<std::uint32_t>(gates[g].children.size());
+    }
+    plan.slots.resize(plan.slot_begin.back());
+    event_marks_.assign(basic_count, EventMarks{});
+    regions_.clear();
+    frames_.clear();
     std::uint32_t next_region = 0;
     auto open = [&](std::uint32_t g, bool region_root) {
         if (region_root) {
-            regions.push_back(Region{next_region++, 0, Module{}});
-            regions.back().module.root = FtRef{FtRef::Kind::Gate, g};
+            regions_.push_back(Region{next_region++, 0, Module{}});
+            regions_.back().module.root = FtRef{FtRef::Kind::Gate, g};
         }
-        frames.push_back(Frame{g, 0, hash::combine(kGateSalt, static_cast<std::uint64_t>(
-                                                                  gates[g].kind)),
-                               region_root});
+        frames_.push_back(Frame{g, 0, region_root});
     };
     open(top.index, true);
-    while (!frames.empty()) {
-        Frame& f = frames.back();
-        Region& region = regions.back();
+    while (!frames_.empty()) {
+        Frame& f = frames_.back();
+        Region& region = regions_.back();
         const std::vector<FtRef>& children = gates[f.gate].children;
         if (f.slot == children.size()) {
             const Frame done = f;
-            frames.pop_back();
+            frames_.pop_back();
+            ModuleHashPlan::Step step{
+                done.gate, ModuleHashPlan::kNotAModule,
+                hash::combine(kGateSalt, static_cast<std::uint64_t>(gates[done.gate].kind))};
             if (!done.region_root) {
-                gate_region[done.gate] = region.id;
-                gate_hash[done.gate] = done.hash;
+                gate_marks_[done.gate].region = region.id;
+                plan.steps.push_back(step);
                 continue;
             }
-            Module& m = region.module;
-            m.subtree_hash = hash::combine(kModuleTreeSalt, done.hash);
             const auto index = static_cast<std::uint32_t>(dec.modules.size());
-            module_index[done.gate] = index;
-            dec.module_of_gate.emplace(done.gate, index);
-            dec.modules.push_back(std::move(m));
-            regions.pop_back();
+            gate_marks_[done.gate].module = index;
+            step.module = index;
+            plan.steps.push_back(step);
+            dec.modules.push_back(std::move(region.module));
+            regions_.pop_back();
             continue;
         }
         const FtRef c = children[f.slot];
-        std::uint64_t ch = 0;
+        ModuleHashPlan::Slot& slot = plan.slots[plan.slot_begin[f.gate] + f.slot];
         if (c.kind == FtRef::Kind::Basic) {
-            if (event_region[c.index] != region.id) {
-                event_region[c.index] = region.id;
-                event_leaf[c.index] = region.next_leaf++;
+            EventMarks& e = event_marks_[c.index];
+            if (e.region != region.id) {
+                e.region = region.id;
+                e.leaf = region.next_leaf++;
                 ++region.module.basic_events;
             }
-            ch = hash::combine(hash::combine(kLeafEventSalt, event_leaf[c.index]),
-                               lambda_bits(basics[c.index].lambda));
-        } else if (is_module[c.index]) {
-            if (module_index[c.index] == kNone) {
+            slot = {hash::combine(kLeafEventSalt, e.leaf), c.index, ModuleHashPlan::Term::Event};
+        } else if (GateMarks& g = gate_marks_[c.index]; g.is_module) {
+            if (g.module == ModuleHashPlan::kNotAModule) {
                 open(c.index, true);  // descend; this slot is revisited once built
                 continue;
             }
-            if (pseudo_region[c.index] != region.id) {
-                pseudo_region[c.index] = region.id;
-                pseudo_leaf[c.index] = region.next_leaf++;
-                region.module.child_modules.push_back(module_index[c.index]);
+            if (g.pseudo_region != region.id) {
+                g.pseudo_region = region.id;
+                g.pseudo_leaf = region.next_leaf++;
+                region.module.child_modules.push_back(g.module);
             }
-            ch = hash::combine(hash::combine(kPseudoSalt, pseudo_leaf[c.index]),
-                               dec.modules[module_index[c.index]].subtree_hash);
+            slot = {hash::combine(kPseudoSalt, g.pseudo_leaf), g.module,
+                    ModuleHashPlan::Term::Pseudo};
         } else {
-            if (gate_region[c.index] != region.id) {
+            if (g.region != region.id) {
                 open(c.index, false);  // descend; this slot is revisited once hashed
                 continue;
             }
-            ch = gate_hash[c.index];
+            slot = {0, c.index, ModuleHashPlan::Term::Gate};
         }
-        f.hash = hash::combine(f.hash, ch);
         ++f.slot;
     }
+
+    lambdas_.clear();
+    for (const BasicEvent& e : ft.basic_events()) lambdas_.push_back(e.lambda);
+    hashes_.resize(dec.modules.size());
+    module_hashes(plan, lambdas_, hashes_, gate_hashes_);
+    for (std::size_t i = 0; i < dec.modules.size(); ++i) dec.modules[i].subtree_hash = hashes_[i];
     count_decomposition(dec);
     return dec;
+}
+
+ModuleDecomposition find_modules(const FaultTree& ft) {
+    ModuleFinder finder;
+    return finder.find(ft);
 }
 
 }  // namespace asilkit::ftree

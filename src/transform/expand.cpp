@@ -128,7 +128,7 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
 
     // Splitters: one per original input edge.
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const std::string suffix = inputs.size() > 1 ? "_" + std::to_string(i + 1) : "";
+        const std::string suffix = inputs.size() > 1 ? std::string("_").append(std::to_string(i + 1)) : "";
         if (original.kind == NodeKind::Communication) {
             // New communication node between the producer and the splitter.
             const NodeId pre = add_node_at(
@@ -151,7 +151,7 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
 
     // Mergers: one per original output edge.
     for (std::size_t j = 0; j < outputs.size(); ++j) {
-        const std::string suffix = outputs.size() > 1 ? "_" + std::to_string(j + 1) : "";
+        const std::string suffix = outputs.size() > 1 ? std::string("_").append(std::to_string(j + 1)) : "";
         const NodeId mg = add_node_at(
             m, AppNode{"merge_" + original.name + suffix, NodeKind::Merger, management_tag, {}},
             management_loc, original.fsr);
@@ -171,7 +171,7 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
     // Branches.
     for (std::size_t b = 0; b < branches; ++b) {
         const AsilTag branch_tag{result.branch_levels[b], parent};
-        const std::string bsuf = "_" + std::to_string(b + 1);
+        const std::string bsuf = std::string("_").append(std::to_string(b + 1));
         std::vector<NodeId> branch_nodes;
 
         if (original.kind == NodeKind::Communication) {
@@ -191,7 +191,7 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
                 const NodeId cin = add_node_at(
                     m,
                     AppNode{"c_in_" + original.name + bsuf +
-                                (result.splitters.size() > 1 ? "_" + std::to_string(i + 1) : ""),
+                                (result.splitters.size() > 1 ? std::string("_").append(std::to_string(i + 1)) : ""),
                             NodeKind::Communication, branch_tag, {}},
                     branch_loc[b], original.fsr);
                 m.connect_app(result.splitters[i], cin);
@@ -203,7 +203,7 @@ ExpandResult expand(ArchitectureModel& m, NodeId node, const ExpandOptions& opti
                 const NodeId cout = add_node_at(
                     m,
                     AppNode{"c_out_" + original.name + bsuf +
-                                (result.mergers.size() > 1 ? "_" + std::to_string(j + 1) : ""),
+                                (result.mergers.size() > 1 ? std::string("_").append(std::to_string(j + 1)) : ""),
                             NodeKind::Communication, branch_tag, {}},
                     branch_loc[b], original.fsr);
                 m.connect_app(replica, cout);

@@ -253,8 +253,14 @@ TEST(ModuleEvaluator, LanesMatchPerLaneEvaluationBitwise) {
     ModuleEvaluator evaluator;
     std::vector<std::vector<double>> batched(k, std::vector<double>(nmodules));
     std::vector<std::vector<double>> reference(k, std::vector<double>(nmodules));
-    std::vector<const ftree::FaultTree*> trees;
-    for (const ftree::FaultTree& ft : canon) trees.push_back(&ft);
+    // Each lane is its tree's rates in canonical event order over the
+    // first tree as the shared skeleton.
+    std::vector<std::vector<double>> lambdas(k);
+    std::vector<std::span<const double>> lambda_spans;
+    for (std::size_t j = 0; j < k; ++j) {
+        for (const ftree::BasicEvent& e : canon[j].basic_events()) lambdas[j].push_back(e.lambda);
+        lambda_spans.emplace_back(lambdas[j]);
+    }
     for (std::size_t i = 0; i < nmodules; ++i) {
         std::vector<std::vector<double>> child_probs(k);
         std::vector<std::span<const double>> spans;
@@ -264,9 +270,9 @@ TEST(ModuleEvaluator, LanesMatchPerLaneEvaluationBitwise) {
             }
             spans.emplace_back(child_probs[j]);
         }
-        const std::vector<ModuleEvalResult> lanes =
-            evaluator.evaluate_module_lanes(trees, decs.front(), i, spans, 1.0);
-        ASSERT_EQ(lanes.size(), k);
+        std::vector<ModuleEvalResult> lanes(k);
+        evaluator.evaluate_module_lanes(canon.front(), decs.front(), i, lambda_spans, spans, 1.0,
+                                        lanes);
         for (std::size_t j = 0; j < k; ++j) {
             batched[j][i] = lanes[j].probability;
             std::vector<double> ref_children;

@@ -723,6 +723,35 @@ TEST_F(CliTest, UnknownOptionsAreRefused) {
     }
 }
 
+TEST_F(CliTest, ForeignOptionsAreRefused) {
+    // A known option given to a command that does not read it used to be
+    // ignored with exit 0.
+    const CliRun trials = run({"analyze", model(), "--trials", "5"});
+    EXPECT_EQ(trials.exit_code, 2);
+    EXPECT_NE(trials.err.find("invalid option: --trials is not an option of 'analyze'"),
+              std::string::npos)
+        << trials.err;
+    EXPECT_EQ(trials.out.find("P(system failure)"), std::string::npos);
+
+    const std::string csv = temp_path("never.csv");
+    const CliRun validate = run({"validate", model(), "--csv", csv});
+    EXPECT_EQ(validate.exit_code, 2);
+    EXPECT_NE(validate.err.find("invalid option: --csv"), std::string::npos) << validate.err;
+    EXPECT_FALSE(std::filesystem::exists(csv));
+
+    const CliRun out = run({"analyze", model(), "-o", temp_path("never.json")});
+    EXPECT_EQ(out.exit_code, 2);
+    EXPECT_NE(out.err.find("-o/--out is not an option of 'analyze'"), std::string::npos)
+        << out.err;
+    EXPECT_FALSE(std::filesystem::exists(temp_path("never.json")));
+
+    // The common options stay available to every command.
+    const std::string metrics = temp_path("fmea_metrics.json");
+    EXPECT_EQ(run({"fmea", model(), "--metrics", metrics}).exit_code, 0);
+    EXPECT_TRUE(std::filesystem::exists(metrics));
+    EXPECT_EQ(run({"ccf", model(), "--help"}).exit_code, 0);
+}
+
 TEST_F(CliTest, IntegerOptionsAcceptOnlyWholeNumbersInRange) {
     // Each used to be read by a bare std::stoul/stoull: "12abc" ran 12
     // trials and "2x" two threads, both with exit 0.

@@ -62,7 +62,7 @@ TEST(CutSets, OrderLimitDropsLargeSets) {
     FaultTree ft;
     std::vector<ftree::FtRef> events;
     for (int i = 0; i < 5; ++i) {
-        events.push_back(ft.add_basic_event("e" + std::to_string(i), 1e-6));
+        events.push_back(ft.add_basic_event(std::string("e").append(std::to_string(i)), 1e-6));
     }
     const auto big_and = ft.add_gate("big", GateKind::And, events);
     const auto single = ft.add_basic_event("single", 1e-6);
@@ -144,9 +144,9 @@ TEST(CutSets, SetLimitThrows) {
         std::vector<ftree::FtRef> leaves;
         for (int i = 0; i < 4; ++i) {
             leaves.push_back(
-                ft.add_basic_event("e" + std::to_string(g) + "_" + std::to_string(i), 1e-6));
+                ft.add_basic_event(std::string("e").append(std::to_string(g)) + std::string("_").append(std::to_string(i)), 1e-6));
         }
-        ors.push_back(ft.add_gate("or" + std::to_string(g), GateKind::Or, leaves));
+        ors.push_back(ft.add_gate(std::string("or").append(std::to_string(g)), GateKind::Or, leaves));
     }
     ft.set_top(ft.add_gate("top", GateKind::And, ors));
     CutSetOptions options;

@@ -50,13 +50,13 @@ TEST(FaultTree, ReserveKeepsEventsAndLookups) {
     const FtRef a = ft.add_basic_event("a", 1e-6);
     ft.reserve(100, 10);  // rebuilds the name index around existing events
     EXPECT_EQ(ft.find_basic_event("a"), a);
-    for (int i = 0; i < 100; ++i) (void)ft.add_basic_event("e" + std::to_string(i), 1e-6);
+    for (int i = 0; i < 100; ++i) (void)ft.add_basic_event(std::string("e").append(std::to_string(i)), 1e-6);
     ft.reserve(4, 1);  // never shrinks
     EXPECT_EQ(ft.basic_events().size(), 101u);
     EXPECT_EQ(ft.find_basic_event("a"), a);
     for (int i = 0; i < 100; ++i) {
-        const FtRef r = ft.find_basic_event("e" + std::to_string(i));
-        EXPECT_EQ(ft.basic_event(r).name, "e" + std::to_string(i));
+        const FtRef r = ft.find_basic_event(std::string("e").append(std::to_string(i)));
+        EXPECT_EQ(ft.basic_event(r).name, std::string("e").append(std::to_string(i)));
     }
 }
 
@@ -155,9 +155,9 @@ TEST(FaultTree, PathsGrowExponentiallyWithAndChains) {
     FaultTree ft;
     FtRef current = ft.add_basic_event("seed", 1e-6);
     for (int k = 0; k < 10; ++k) {
-        const FtRef left = ft.add_gate("l" + std::to_string(k), GateKind::Or, {current});
-        const FtRef right = ft.add_gate("r" + std::to_string(k), GateKind::Or, {current});
-        current = ft.add_gate("j" + std::to_string(k), GateKind::And, {left, right});
+        const FtRef left = ft.add_gate(std::string("l").append(std::to_string(k)), GateKind::Or, {current});
+        const FtRef right = ft.add_gate(std::string("r").append(std::to_string(k)), GateKind::Or, {current});
+        current = ft.add_gate(std::string("j").append(std::to_string(k)), GateKind::And, {left, right});
     }
     ft.set_top(current);
     EXPECT_EQ(ft.stats().paths, 1024u);
@@ -279,9 +279,9 @@ TEST(Modules, IndependentBranchesAreModules) {
     EXPECT_EQ(dec.top().root, top);
     EXPECT_EQ(dec.top().child_modules.size(), 2u);
     EXPECT_EQ(dec.top().basic_events, 0u);  // both children are pseudo leaves
-    ASSERT_TRUE(dec.module_of_gate.contains(left.index));
-    ASSERT_TRUE(dec.module_of_gate.contains(right.index));
-    EXPECT_EQ(dec.modules[dec.module_of_gate.at(left.index)].basic_events, 2u);
+    ASSERT_TRUE(dec.module_of(left.index).has_value());
+    ASSERT_TRUE(dec.module_of(right.index).has_value());
+    EXPECT_EQ(dec.modules[*dec.module_of(left.index)].basic_events, 2u);
 }
 
 TEST(Modules, SharedEventKeepsRegionTogether) {
@@ -316,15 +316,15 @@ TEST(Modules, NestedModulesComposeBottomUp) {
 
     const ModuleDecomposition dec = find_modules(ft);
     ASSERT_EQ(dec.size(), 3u);
-    const Module& inner_m = dec.modules[dec.module_of_gate.at(inner.index)];
-    const Module& mid_m = dec.modules[dec.module_of_gate.at(mid.index)];
+    const Module& inner_m = dec.modules[dec.module_of(inner.index).value()];
+    const Module& mid_m = dec.modules[dec.module_of(mid.index).value()];
     EXPECT_TRUE(inner_m.child_modules.empty());
     ASSERT_EQ(mid_m.child_modules.size(), 1u);
-    EXPECT_EQ(mid_m.child_modules.front(), dec.module_of_gate.at(inner.index));
+    EXPECT_EQ(mid_m.child_modules.front(), dec.module_of(inner.index).value());
     ASSERT_EQ(dec.top().child_modules.size(), 1u);
-    EXPECT_EQ(dec.top().child_modules.front(), dec.module_of_gate.at(mid.index));
+    EXPECT_EQ(dec.top().child_modules.front(), dec.module_of(mid.index).value());
     // Children-before-parents order.
-    EXPECT_LT(dec.module_of_gate.at(inner.index), dec.module_of_gate.at(mid.index));
+    EXPECT_LT(dec.module_of(inner.index).value(), dec.module_of(mid.index).value());
 }
 
 TEST(Modules, SharedGateIsStillAModule) {
@@ -340,7 +340,7 @@ TEST(Modules, SharedGateIsStillAModule) {
     const ModuleDecomposition dec = find_modules(ft);
     ASSERT_EQ(dec.size(), 2u);
     ASSERT_EQ(dec.top().child_modules.size(), 1u);  // one pseudo leaf, used twice
-    EXPECT_EQ(dec.top().child_modules.front(), dec.module_of_gate.at(g.index));
+    EXPECT_EQ(dec.top().child_modules.front(), dec.module_of(g.index).value());
 }
 
 TEST(Modules, SingleBasicEventTop) {
@@ -379,11 +379,11 @@ TEST(Modules, SubtreeHashIsContextFree) {
     const ModuleDecomposition d2 = find_modules(host2);
     std::uint64_t h1 = 0;
     std::uint64_t h2 = 0;
-    for (const auto& [gate, idx] : d1.module_of_gate) {
-        if (host1.gate(gate).name == "sub") h1 = d1.modules[idx].subtree_hash;
+    for (const Module& mod : d1.modules) {
+        if (host1.gate(mod.root).name == "sub") h1 = mod.subtree_hash;
     }
-    for (const auto& [gate, idx] : d2.module_of_gate) {
-        if (host2.gate(gate).name == "sub") h2 = d2.modules[idx].subtree_hash;
+    for (const Module& mod : d2.modules) {
+        if (host2.gate(mod.root).name == "sub") h2 = mod.subtree_hash;
     }
     ASSERT_NE(h1, 0u);
     EXPECT_EQ(h1, h2);
@@ -436,7 +436,7 @@ TEST(CanonicalForm, FullyTiedChildrenKeepTheirOriginalOrder) {
         FaultTree ft;
         std::vector<FtRef> events;
         for (std::size_t i = 0; i < n; ++i) {
-            events.push_back(ft.add_basic_event("e" + std::to_string(i), 1e-6));
+            events.push_back(ft.add_basic_event(std::string("e").append(std::to_string(i)), 1e-6));
         }
         // A child order unrelated to event numbering: a stride permutation.
         std::vector<FtRef> children;

@@ -157,7 +157,7 @@ TEST(Approximation, HalvesPathsPerDecomposition) {
     // the approximation collapses it back.
     ArchitectureModel m = scenarios::chain_n_stages(4);
     for (int i = 1; i <= 4; ++i) {
-        transform::expand(m, m.find_app_node("f" + std::to_string(i)));
+        transform::expand(m, m.find_app_node(std::string("f").append(std::to_string(i))));
     }
     const FtBuildResult exact = build_fault_tree(m);
     FtBuildOptions options;

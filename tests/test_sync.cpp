@@ -274,7 +274,7 @@ TEST_P(ThreadPoolStress, EmptyBatchCompletesImmediately) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadPoolStress, ::testing::Values(1u, 2u, 4u, 8u),
                          [](const ::testing::TestParamInfo<unsigned>& info) {
-                             return "t" + std::to_string(info.param);
+                             return std::string("t").append(std::to_string(info.param));
                          });
 
 }  // namespace
